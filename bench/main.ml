@@ -478,69 +478,47 @@ let rank () =
   Printf.printf "a 5-scenario evaluation suite: %s\n" (String.concat ", " top)
 
 (* ------------------------------------------------------------------ *)
-(* SCALE: walkthrough cost vs system size                             *)
+(* Bench sections: helpers shared by the cases                         *)
 (* ------------------------------------------------------------------ *)
 
-(* A synthetic chain system: n components in a line, one scenario
-   touching every component in order. *)
-let synthetic_project n =
-  let name i = Printf.sprintf "c%d" i in
-  let ontology =
-    List.fold_left
-      (fun o i ->
-        Ontology.Build.add_event_type ~id:(Printf.sprintf "e%d" i)
-          ~name:(Printf.sprintf "e%d" i)
-          ~template:(Printf.sprintf "step %d happens" i)
-          o)
-      (Ontology.Build.create ~id:"syn" ~name:"Synthetic")
-      (List.init n Fun.id)
-  in
-  let architecture =
-    let with_components =
-      List.fold_left
-        (fun t i ->
-          Adl.Build.add_component ~id:(name i) ~name:(name i) ~responsibilities:[ "r" ] t)
-        (Adl.Build.create ~id:"syn-arch" ~name:"Synthetic chain" ())
-        (List.init n Fun.id)
-    in
-    List.fold_left
-      (fun t i -> Adl.Build.biconnect t (name i) (name (i + 1)))
-      with_components
-      (List.init (n - 1) Fun.id)
-  in
-  let mapping =
-    List.fold_left
-      (fun m i ->
-        Mapping.Build.map ~event_type:(Printf.sprintf "e%d" i) ~to_:[ name i ] m)
-      (Mapping.Build.create ~id:"syn-map" ~ontology ~architecture)
-      (List.init n Fun.id)
-  in
-  let scenario =
-    Scenarioml.Scen.scenario ~id:"walk" ~name:"Walk the chain"
-      (List.init n (fun i ->
-           Scenarioml.Event.typed ~id:(Printf.sprintf "s%d" i)
-             ~event_type:(Printf.sprintf "e%d" i) []))
-  in
-  let set = Scenarioml.Scen.make_set ~id:"syn-set" ~name:"Synthetic" ontology [ scenario ] in
-  (set, architecture, mapping)
+(* CI smoke mode: tiny suites and rep counts, just enough to catch
+   bit-rot in the harness itself (set SOSAE_BENCH_SMOKE=1). *)
+let smoke = Sys.getenv_opt "SOSAE_BENCH_SMOKE" <> None
 
-let scale_tests =
-  let open Bechamel in
-  List.map
-    (fun n ->
-      let set, architecture, mapping = synthetic_project n in
-      Test.make ~name:(Printf.sprintf "walkthrough-chain-%03d" n)
-        (Staged.stage (fun () ->
-             Walkthrough.Engine.evaluate_set ~set ~architecture ~mapping ())))
-    [ 8; 32; 128 ]
+(* Wall-clock milliseconds of [f ()]. Compacting first puts every
+   measurement in the same heap state, so earlier cases (the
+   allocation-heavy micro-benchmarks in particular) don't skew
+   whichever one happens to run next. *)
+let time_ms f =
+  Gc.compact ();
+  let t0 = Unix.gettimeofday () in
+  f ();
+  (Unix.gettimeofday () -. t0) *. 1000.0
 
-(* ------------------------------------------------------------------ *)
-(* PERF: Bechamel micro-benchmarks                                    *)
-(* ------------------------------------------------------------------ *)
+(* A gated row names the metric bench/trend.exe compares across runs
+   (a throughput: a drop is a regression) and the fractional drop it
+   tolerates. *)
+let gated metric bound row =
+  row
+  @ [
+      ( "gate",
+        Jsonlight.Obj
+          [ ("metric", Jsonlight.String metric); ("bound", Jsonlight.Float bound) ] );
+    ]
 
-(* ------------------------------------------------------------------ *)
-(* INCR: full vs incremental re-evaluation after an edit              *)
-(* ------------------------------------------------------------------ *)
+let with_temp_dir prefix f =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let rec rm_rf path =
+    match Unix.lstat path with
+    | { Unix.st_kind = Unix.S_DIR; _ } ->
+        Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+        Unix.rmdir path
+    | _ -> Unix.unlink path
+    | exception Unix.Unix_error _ -> ()
+  in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 (* A chain of [components], walked by [scenarios] scenarios that each
    touch a contiguous segment of [span] components (segments spread
@@ -597,931 +575,25 @@ let synthetic_suite ~components ~scenarios ~span =
   in
   (set, architecture, mapping)
 
-let links_between architecture a b =
-  List.filter
-    (fun l ->
-      let f = l.Adl.Structure.link_from.Adl.Structure.anchor
-      and t = l.Adl.Structure.link_to.Adl.Structure.anchor in
-      (String.equal f a && String.equal t b) || (String.equal f b && String.equal t a))
-    architecture.Adl.Structure.links
+(* the INCR and SCALE suites: one 12-component segment per 8 components *)
+let chains = if smoke then [ 64; 128 ] else [ 64; 256; 1024 ]
+let chain_label n = Printf.sprintf "chain-%04d (%d scen.)" n (n / 8)
+let chain_suite n = synthetic_suite ~components:n ~scenarios:(n / 8) ~span:12
 
-let incr_json : Jsonlight.t list ref = ref []
-
-(* Timed comparison: after excising the links between [a] and [b],
-   re-evaluate the whole suite. "full" runs a fresh evaluation; the
-   session applies the diff to a warm cache and re-evaluates only what
-   the excision touched. Warming the sessions (the state a long-lived
-   tool already has) is not timed. *)
-let incr_case ~label ~reps ~a ~b (set, architecture, mapping) =
-  let ops =
-    List.map
-      (fun l -> Adl.Diff.Remove_link l.Adl.Structure.link_id)
-      (links_between architecture a b)
-  in
-  assert (ops <> []);
-  let time_ms f =
-    (* compacting first puts both measurements in the same heap state,
-       so earlier targets (the allocation-heavy micro-benchmarks in
-       particular) don't skew whichever section happens to run next *)
-    Gc.compact ();
-    let t0 = Unix.gettimeofday () in
-    f ();
-    (Unix.gettimeofday () -. t0) *. 1000.0
-  in
-  let broken = Adl.Diff.apply_all architecture ops in
-  let full_ms =
-    time_ms (fun () ->
-        for _ = 1 to reps do
-          ignore (Walkthrough.Engine.evaluate_set ~set ~architecture:broken ~mapping ())
-        done)
-  in
-  let project = { Core.Sosae.scenarios = set; architecture; mapping } in
-  let sessions =
-    List.init reps (fun _ ->
-        let s = Core.Sosae.Session.create project in
-        ignore (Core.Sosae.Session.evaluate s);
-        s)
-  in
-  let incr_ms =
-    time_ms (fun () ->
-        List.iter
-          (fun s ->
-            Core.Sosae.Session.apply_diff s ops;
-            ignore (Core.Sosae.Session.evaluate s))
-          sessions)
-  in
-  let stats = Core.Sosae.Session.stats (List.hd sessions) in
-  let total = List.length set.Scenarioml.Scen.scenarios in
-  let re_evaluated = stats.Core.Sosae.Session.evaluations - total in
-  let speedup = full_ms /. incr_ms in
-  Printf.printf "%-26s | %9.2f | %9.2f | %7.1fx | %5d of %d\n" label
-    (full_ms /. float_of_int reps)
-    (incr_ms /. float_of_int reps)
-    speedup re_evaluated total;
-  incr_json :=
-    Jsonlight.Obj
-      [
-        ("suite", Jsonlight.String label);
-        ("scenarios", Jsonlight.Int total);
-        ("reps", Jsonlight.Int reps);
-        ("full_ms_per_rep", Jsonlight.Float (full_ms /. float_of_int reps));
-        ("incremental_ms_per_rep", Jsonlight.Float (incr_ms /. float_of_int reps));
-        ("speedup", Jsonlight.Float speedup);
-        ("re_evaluated", Jsonlight.Int re_evaluated);
-      ]
-    :: !incr_json;
-  speedup
-
-(* CI smoke mode: tiny suites and rep counts, just enough to catch
-   bit-rot in the harness itself (set SOSAE_BENCH_SMOKE=1). *)
-let smoke = Sys.getenv_opt "SOSAE_BENCH_SMOKE" <> None
-
-let incr () =
-  header "INCR" "Full vs incremental re-evaluation after a single-link excision";
-  print_endline "Each suite is re-evaluated after excising one link: \"full\" evaluates";
-  print_endline "every scenario afresh; \"incremental\" replays a warm Sosae.Session";
-  print_endline "(per-rep times; \"dirty\" = scenarios the session re-walked).";
-  print_endline "";
-  Printf.printf "%-26s | %9s | %9s | %8s | %s\n" "suite" "full ms" "incr ms" "speedup"
-    "dirty";
-  Printf.printf "%s\n" (String.make 72 '-');
-  let chain components =
-    let scenarios = components / 8 and span = 12 in
-    let mid = components / 2 in
-    let label = Printf.sprintf "chain-%04d (%d scen.)" components scenarios in
-    incr_case ~label
-      ~reps:(if smoke then 2 else max 3 (2048 / components))
-      ~a:(Printf.sprintf "c%d" mid)
-      ~b:(Printf.sprintf "c%d" (mid + 1))
-      (synthetic_suite ~components ~scenarios ~span)
-  in
-  let _ = chain 64 in
-  let largest =
-    if smoke then chain 128
-    else begin
-      let _ = chain 256 in
-      chain 1024
-    end
-  in
-  let pims =
-    incr_case ~label:"pims-excise-loader-da" ~reps:(if smoke then 5 else 100) ~a:"loader"
-      ~b:"data-access"
-      ( Casestudies.Pims.scenario_set,
-        Casestudies.Pims.architecture,
-        Casestudies.Pims.mapping )
-  in
-  print_endline "";
-  Printf.printf "largest chain speedup: %.1fx, PIMS speedup: %.1fx%s\n" largest pims
-    (if largest >= 2.0 then " (acceptance: >= 2x ok)" else " (below 2x target!)")
+let pims_project =
+  {
+    Core.Sosae.scenarios = Casestudies.Pims.scenario_set;
+    architecture = Casestudies.Pims.architecture;
+    mapping = Casestudies.Pims.mapping;
+  }
 
 (* ------------------------------------------------------------------ *)
-(* SCALE: parallel suite evaluation vs number of domains              *)
+(* PERF: Bechamel micro-benchmarks                                    *)
 (* ------------------------------------------------------------------ *)
-
-let scale_json : Jsonlight.t list ref = ref []
-
-let scale_case ~label ~reps (set, architecture, mapping) =
-  let project = { Core.Sosae.scenarios = set; architecture; mapping } in
-  let time_ms jobs =
-    ignore (Core.Sosae.evaluate ~jobs project) (* warm-up, not timed *);
-    Gc.compact ();
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (Core.Sosae.evaluate ~jobs project)
-    done;
-    (Unix.gettimeofday () -. t0) *. 1000.0 /. float_of_int reps
-  in
-  let jobs_list = [ 1; 2; 4; 8 ] in
-  let timings = List.map (fun jobs -> (jobs, time_ms jobs)) jobs_list in
-  let base = List.assoc 1 timings in
-  let rows =
-    List.map
-      (fun (jobs, ms) ->
-        let speedup = base /. ms in
-        Printf.printf "%-26s | %4d | %9.2f | %7.2fx\n" label jobs ms speedup;
-        Jsonlight.Obj
-          [
-            ("jobs", Jsonlight.Int jobs);
-            ("ms_per_eval", Jsonlight.Float ms);
-            ("speedup", Jsonlight.Float speedup);
-          ])
-      timings
-  in
-  scale_json :=
-    Jsonlight.Obj
-      [
-        ("suite", Jsonlight.String label);
-        ("scenarios", Jsonlight.Int (List.length set.Scenarioml.Scen.scenarios));
-        ("reps", Jsonlight.Int reps);
-        ("cores", Jsonlight.Int (Core.Sosae.default_jobs ()));
-        ("runs", Jsonlight.List rows);
-      ]
-    :: !scale_json;
-  base /. List.assoc 4 timings
-
-let scale () =
-  header "SCALE" "Suite evaluation wall-clock vs domain-pool size (--jobs)";
-  Printf.printf
-    "Every scenario of a suite is an independent walkthrough; Sosae.evaluate ~jobs\n\
-     fans them out over an OCaml 5 domain pool (per-rep times; host reports %d\n\
-     recommended domain(s) — speedup > 1 needs more than one core).\n\n"
-    (Core.Sosae.default_jobs ());
-  Printf.printf "%-26s | %4s | %9s | %8s\n" "suite" "jobs" "ms/eval" "speedup";
-  Printf.printf "%s\n" (String.make 56 '-');
-  let chain components =
-    let scenarios = components / 8 and span = 12 in
-    scale_case
-      ~label:(Printf.sprintf "chain-%04d (%d scen.)" components scenarios)
-      ~reps:(if smoke then 2 else max 3 (4096 / components))
-      (synthetic_suite ~components ~scenarios ~span)
-  in
-  let _ = chain 64 in
-  let largest = if smoke then chain 128 else begin let _ = chain 256 in chain 1024 end in
-  print_endline "";
-  Printf.printf "largest chain speedup at jobs=4: %.2fx%s\n" largest
-    (if largest >= 2.0 then " (acceptance: >= 2x ok)"
-     else " (below 2x target — needs >= 4 cores)")
-
-(* ------------------------------------------------------------------ *)
-(* SERVE: HTTP evaluation-server throughput                           *)
-(* ------------------------------------------------------------------ *)
-
-let serve_json : Jsonlight.t list ref = ref []
-
-(* nearest-rank quantile over a sorted latency array *)
-let quantile sorted q =
-  let n = Array.length sorted in
-  sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
-
-(* [clients] keep-alive connections each issue [requests] back-to-back
-   requests; per-request latency is measured client-side, so the
-   quantiles include the full loopback round trip. [sink] picks which
-   JSON section the case lands in (the repl section reuses this
-   machinery against a replica daemon). *)
-let serve_case ?(headers = []) ?(expect = 200) ?(sink = serve_json) daemon
-    ~label ~clients ~requests ~meth ~target ~body =
-  let port = Server.Daemon.port daemon in
-  let latencies = Array.make (clients * requests) 0.0 in
-  let errors = Atomic.make 0 in
-  let worker ci =
-    let c = Server.Client.connect ~port () in
-    Fun.protect
-      ~finally:(fun () -> Server.Client.close c)
-      (fun () ->
-        for ri = 0 to requests - 1 do
-          let t0 = Unix.gettimeofday () in
-          (match Server.Client.request c ~headers ?body meth target with
-          | Ok { Server.Client.status; _ } when status = expect -> ()
-          | Ok _ | Error _ -> Atomic.incr errors);
-          latencies.((ci * requests) + ri) <- Unix.gettimeofday () -. t0
-        done)
-  in
-  Gc.compact ();
-  let t0 = Unix.gettimeofday () in
-  let threads = List.init clients (fun ci -> Thread.create worker ci) in
-  List.iter Thread.join threads;
-  let wall = Unix.gettimeofday () -. t0 in
-  Array.sort compare latencies;
-  let total = clients * requests in
-  let rps = float_of_int total /. wall in
-  let ms q = quantile latencies q *. 1000.0 in
-  Printf.printf "%-28s | %8.0f req/s | p50 %7.3f ms | p90 %7.3f | p99 %7.3f | err %d\n"
-    label rps (ms 0.5) (ms 0.9) (ms 0.99) (Atomic.get errors);
-  sink :=
-    Jsonlight.Obj
-      [
-        ("case", Jsonlight.String label);
-        ("clients", Jsonlight.Int clients);
-        ("requests", Jsonlight.Int total);
-        ("requests_per_second", Jsonlight.Float rps);
-        ("p50_ms", Jsonlight.Float (ms 0.5));
-        ("p90_ms", Jsonlight.Float (ms 0.9));
-        ("p99_ms", Jsonlight.Float (ms 0.99));
-        ("errors", Jsonlight.Int (Atomic.get errors));
-      ]
-    :: !sink;
-  rps
-
-let serve () =
-  header "SERVE" "HTTP evaluation server (in-process daemon, loopback TCP)";
-  print_endline "Requests from concurrent keep-alive clients against one PIMS session;";
-  print_endline "\"evaluate\" runs the full 22-scenario suite through the warm verdict";
-  print_endline "cache on every request.";
-  print_endline "";
-  let daemon =
-    Server.Daemon.start
-      ~config:
-        {
-          Server.Daemon.default_config with
-          Server.Daemon.port = 0;
-          workers = (if smoke then 2 else 8);
-          queue_capacity = 256;
-        }
-      ()
-  in
-  Fun.protect
-    ~finally:(fun () -> Server.Daemon.stop daemon)
-    (fun () ->
-      let registry = (Server.Daemon.ctx daemon).Server.Api.registry in
-      (match
-         Server.Registry.add registry ~id:"pims"
-           {
-             Core.Sosae.scenarios = Casestudies.Pims.scenario_set;
-             architecture = Casestudies.Pims.architecture;
-             mapping = Casestudies.Pims.mapping;
-           }
-       with
-      | Ok () -> ()
-      | Error `Conflict -> assert false);
-      (* warm the verdict cache so "evaluate" measures serving, not the
-         one-time first walk *)
-      (match Server.Registry.with_session registry "pims" (fun s ->
-           ignore (Core.Sosae.Session.evaluate s))
-       with
-      | Ok () -> ()
-      | Error `Not_found -> assert false);
-      let clients = if smoke then 2 else 8 in
-      let health_rps =
-        serve_case daemon ~label:"GET /health" ~clients
-          ~requests:(if smoke then 25 else 500)
-          ~meth:Server.Http.GET ~target:"/health" ~body:None
-      in
-      let evaluate_rps =
-        serve_case daemon ~label:"POST evaluate (warm cache)" ~clients
-          ~requests:(if smoke then 5 else 100)
-          ~meth:Server.Http.POST ~target:"/sessions/pims/evaluate"
-          ~body:(Some "{}")
-      in
-      (* the session's current etag, for the conditional case *)
-      let etag =
-        let c = Server.Client.connect ~port:(Server.Daemon.port daemon) () in
-        Fun.protect
-          ~finally:(fun () -> Server.Client.close c)
-          (fun () ->
-            match Server.Client.post c "/sessions/pims/evaluate" ~body:"{}" with
-            | Ok r -> List.assoc "etag" r.Server.Client.headers
-            | Error m -> failwith ("etag fetch: " ^ m))
-      in
-      let conditional_rps =
-        serve_case daemon ~label:"POST evaluate (If-None-Match)" ~clients
-          ~requests:(if smoke then 25 else 500)
-          ~headers:[ ("If-None-Match", etag) ]
-          ~expect:304 ~meth:Server.Http.POST
-          ~target:"/sessions/pims/evaluate" ~body:(Some "{}")
-      in
-      let batch_n = 8 in
-      let batch_body =
-        Printf.sprintf {|{"suites":[%s]}|}
-          (String.concat "," (List.init batch_n (fun _ -> "{}")))
-      in
-      let batch_rps =
-        serve_case daemon
-          ~label:(Printf.sprintf "POST evaluate/batch (%d suites)" batch_n)
-          ~clients
-          ~requests:(if smoke then 5 else 50)
-          ~meth:Server.Http.POST ~target:"/sessions/pims/evaluate/batch"
-          ~body:(Some batch_body)
-      in
-      print_endline "";
-      Printf.printf
-        "protocol ceiling %.0f req/s; full-body warm evaluate %.0f req/s \
-         (1/%.1f of /health)\n"
-        health_rps evaluate_rps
-        (health_rps /. Float.max 1.0 evaluate_rps);
-      Printf.printf
-        "ETag revalidation %.0f req/s (%s); batch %.0f req/s (~%.0f \
-         evaluates/s)\n"
-        conditional_rps
-        (if conditional_rps *. 3.0 >= health_rps then
-           "within 3x of /health: ok"
-         else "below the within-3x-of-/health target!")
-        batch_rps
-        (batch_rps *. float_of_int batch_n))
-
-(* ------------------------------------------------------------------ *)
-(* WAL: write-ahead journal throughput                                *)
-(* ------------------------------------------------------------------ *)
-
-let wal_json : Jsonlight.t list ref = ref []
-
-let temp_dir prefix =
-  let path = Filename.temp_file prefix "" in
-  Sys.remove path;
-  Unix.mkdir path 0o700;
-  path
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Unix.unlink path
-  | exception Unix.Unix_error _ -> ()
-
-(* The project every create journals, plus its XML serialization —
-   passed as [~source] the way the API layer hands over the request
-   strings it parsed, so the bench measures the server's actual
-   journaled-create path (no per-create re-serialization). *)
-let wal_project =
-  lazy
-    (let project =
-       {
-         Core.Sosae.scenarios = Casestudies.Pims.scenario_set;
-         architecture = Casestudies.Pims.architecture;
-         mapping = Casestudies.Pims.mapping;
-       }
-     in
-     let source =
-       ( Scenarioml.Xml_io.set_to_string project.Core.Sosae.scenarios,
-         Adl.Xml_io.to_string project.Core.Sosae.architecture,
-         Mapping.Xml_io.to_string project.Core.Sosae.mapping )
-     in
-     (project, source))
-
-(* [creates] session creations against one registry; each create is a
-   full PIMS project journaled (and fsynced per policy) before the add
-   returns, exactly the acknowledged-durability path of POST
-   /sessions. *)
-let wal_case ~label ~creates policy =
-  let project, source = Lazy.force wal_project in
-  let dir = Option.map (fun _ -> temp_dir "sosae-wal") policy in
-  (* compaction pinned out of reach: the case measures the journaling
-     path itself, not snapshot cost (the serve bench covers that) *)
-  let persist =
-    match (policy, dir) with
-    | Some fsync, Some dir ->
-        Some (fst (Server.Persist.open_ ~fsync ~compact_bytes:max_int dir))
-    | _ -> None
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Option.iter Server.Persist.close persist;
-      Option.iter rm_rf dir)
-    (fun () ->
-      let registry = Server.Registry.create ?persist () in
-      Gc.compact ();
-      let t0 = Unix.gettimeofday () in
-      for i = 0 to creates - 1 do
-        match
-          Server.Registry.add registry ~id:(Printf.sprintf "s%04d" i) ~source
-            project
-        with
-        | Ok () -> ()
-        | Error `Conflict -> assert false
-      done;
-      let wall = Unix.gettimeofday () -. t0 in
-      let cps = float_of_int creates /. wall in
-      let bytes, fsyncs, compactions =
-        match persist with
-        | None -> (0, 0, 0)
-        | Some p ->
-            let s = Server.Persist.stats p in
-            (s.Store.Wal.bytes, s.Store.Wal.fsyncs, s.Store.Wal.compactions)
-      in
-      Printf.printf "%-18s | %8.0f creates/s | %9d B journaled | %4d fsyncs | %d compactions\n"
-        label cps bytes fsyncs compactions;
-      wal_json :=
-        Jsonlight.Obj
-          [
-            ("case", Jsonlight.String label);
-            ("creates", Jsonlight.Int creates);
-            ("creates_per_second", Jsonlight.Float cps);
-            ("journal_bytes", Jsonlight.Int bytes);
-            ("fsyncs", Jsonlight.Int fsyncs);
-            ("compactions", Jsonlight.Int compactions);
-          ]
-        :: !wal_json;
-      cps)
-
-(* [writers] threads share one registry, each journaling its own slice
-   of [creates] session creations — the contended path POST /sessions
-   takes under concurrent load. With [group] the writers stage under
-   the mutation lock but share fsyncs through the group-commit
-   barrier; without it every create pays its own. *)
-let wal_concurrent_case ~label ~creates ~writers ~group policy =
-  let project, source = Lazy.force wal_project in
-  let dir = temp_dir "sosae-wal" in
-  (* default group config (window 0): batches form naturally from the
-     writers that queue while the previous fsync is in flight — on
-     this host a sleep-based accumulation window costs more than the
-     fsyncs it saves (Unix.sleepf granularity exceeds the fsync) *)
-  let persist =
-    fst
-      (Server.Persist.open_ ~fsync:policy
-         ?group:(if group then Some Store.Journal.Group.default else None)
-         ~compact_bytes:max_int dir)
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Server.Persist.close persist;
-      rm_rf dir)
-    (fun () ->
-      let registry = Server.Registry.create ~persist () in
-      Gc.compact ();
-      let t0 = Unix.gettimeofday () in
-      let per_writer = creates / writers in
-      let threads =
-        List.init writers (fun w ->
-            Thread.create
-              (fun () ->
-                for i = 0 to per_writer - 1 do
-                  match
-                    Server.Registry.add registry
-                      ~id:(Printf.sprintf "w%d-s%04d" w i)
-                      ~source project
-                  with
-                  | Ok () -> ()
-                  | Error `Conflict -> assert false
-                done)
-              ())
-      in
-      List.iter Thread.join threads;
-      let wall = Unix.gettimeofday () -. t0 in
-      let done_ = per_writer * writers in
-      let cps = float_of_int done_ /. wall in
-      let s = Server.Persist.stats persist in
-      let saved, largest =
-        match Server.Persist.group_stats persist with
-        | Some g ->
-            (g.Store.Journal.Group.fsyncs_saved, g.Store.Journal.Group.largest_batch)
-        | None -> (0, 0)
-      in
-      Printf.printf
-        "%-26s | %8.0f creates/s | %4d fsyncs | %4d saved | largest batch %d\n"
-        label cps s.Store.Wal.fsyncs saved largest;
-      wal_json :=
-        Jsonlight.Obj
-          [
-            ("case", Jsonlight.String label);
-            ("creates", Jsonlight.Int done_);
-            ("writers", Jsonlight.Int writers);
-            ("creates_per_second", Jsonlight.Float cps);
-            ("journal_bytes", Jsonlight.Int s.Store.Wal.bytes);
-            ("fsyncs", Jsonlight.Int s.Store.Wal.fsyncs);
-            ("fsyncs_saved", Jsonlight.Int saved);
-            ("largest_batch", Jsonlight.Int largest);
-            ("compactions", Jsonlight.Int s.Store.Wal.compactions);
-          ]
-        :: !wal_json;
-      cps)
-
-let wal () =
-  header "WAL" "Durable session creation: journaled-create throughput per fsync policy";
-  print_endline "Each create journals the full PIMS project (~38 KB) before returning —";
-  print_endline "the same acknowledged-durability path POST /sessions takes with";
-  print_endline "--data-dir. \"no-journal\" is the in-memory baseline.";
-  print_endline "";
-  let creates = if smoke then 5 else 200 in
-  let base = wal_case ~label:"no-journal" ~creates None in
-  let never = wal_case ~label:"fsync=never" ~creates (Some Store.Journal.Never) in
-  let _interval =
-    wal_case ~label:"fsync=interval:0.05" ~creates
-      (Some (Store.Journal.Interval 0.05))
-  in
-  let always = wal_case ~label:"fsync=always" ~creates (Some Store.Journal.Always) in
-  print_endline "";
-  print_endline "8 concurrent writers (the contended path group commit batches):";
-  print_endline "";
-  let writers = 8 in
-  let w8 = if smoke then 8 else 400 in
-  let always_solo =
-    wal_concurrent_case ~label:"w8 fsync=always" ~creates:w8 ~writers
-      ~group:false Store.Journal.Always
-  in
-  let always_group =
-    wal_concurrent_case ~label:"w8 fsync=always group" ~creates:w8 ~writers
-      ~group:true Store.Journal.Always
-  in
-  ignore
-    (wal_concurrent_case ~label:"w8 fsync=never" ~creates:w8 ~writers
-       ~group:false Store.Journal.Never);
-  ignore
-    (wal_concurrent_case ~label:"w8 fsync=never group" ~creates:w8 ~writers
-       ~group:true Store.Journal.Never);
-  ignore
-    (wal_concurrent_case ~label:"w8 fsync=interval:0.05" ~creates:w8 ~writers
-       ~group:false (Store.Journal.Interval 0.05));
-  ignore
-    (wal_concurrent_case ~label:"w8 fsync=interval:0.05 group" ~creates:w8
-       ~writers ~group:true (Store.Journal.Interval 0.05));
-  print_endline "";
-  Printf.printf
-    "journal overhead: fsync=never costs %.1f%% of baseline throughput; each\n\
-     fsync=always create pays one synchronous flush (%.2f ms at this rate).\n\
-     group commit under 8 writers: %.1fx the serialized fsync=always rate\n\
-     (%.0f vs %.0f creates/s; the durability tax left is the batched fsync).\n"
-    ((1.0 -. (never /. base)) *. 100.0)
-    (1000.0 /. always)
-    (always_group /. (if always_solo > 0.0 then always_solo else 1.0))
-    always_group always_solo
-
-(* ------------------------------------------------------------------ *)
-(* REPL: log-shipping replication                                     *)
-(* ------------------------------------------------------------------ *)
-
-let repl_json : Jsonlight.t list ref = ref []
-
-(* Poll [GET /replication] on [daemon] until the replica has applied
-   at least [seq] with zero lag against its primary. *)
-let repl_wait ?(timeout = 30.0) daemon ~seq =
-  let c = Server.Client.connect ~port:(Server.Daemon.port daemon) () in
-  Fun.protect
-    ~finally:(fun () -> Server.Client.close c)
-    (fun () ->
-      let deadline = Unix.gettimeofday () +. timeout in
-      let rec loop () =
-        match Server.Client.replication c with
-        | Ok r
-          when r.Server.Client.applied_seq >= seq && r.Server.Client.lag = 0L
-          ->
-            ()
-        | _ when Unix.gettimeofday () > deadline ->
-            failwith "repl bench: replica did not catch up"
-        | _ ->
-            Thread.delay 0.005;
-            loop ()
-      in
-      loop ())
-
-(* Snapshot catch-up vs full replay: the same store, tailed once
-   record by record from seq 0 and once bootstrapped from the
-   compacted snapshot's reset batch. The journal holds one create
-   plus alternating component renames — small records, so the
-   full-replay cost is exactly the per-record apply work the snapshot
-   path collapses into one state install. *)
-let repl_catchup () =
-  let records = if smoke then 200 else 10_000 in
-  print_endline "";
-  Printf.printf
-    "Catch-up paths over a %d-record journal (one create + renames):\n" records;
-  print_endline "";
-  let dir = temp_dir "sosae-repl-catchup" in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
-      let project, source = Lazy.force wal_project in
-      let persist, _ =
-        Server.Persist.open_ ~fsync:Store.Journal.Never ~compact_bytes:max_int
-          dir
-      in
-      Fun.protect
-        ~finally:(fun () -> Server.Persist.close persist)
-        (fun () ->
-          let registry = Server.Registry.create ~persist () in
-          (match Server.Registry.add registry ~id:"pims" ~source project with
-          | Ok () -> ()
-          | Error `Conflict -> assert false);
-          for i = 1 to records - 1 do
-            let rename =
-              if i land 1 = 1 then
-                Adl.Diff.Rename_element { old_id = "loader"; new_id = "loader-b" }
-              else
-                Adl.Diff.Rename_element { old_id = "loader-b"; new_id = "loader" }
-            in
-            match Server.Registry.apply_diff registry "pims" ~ops:(fun _ -> [ rename ]) with
-            | Ok _ -> ()
-            | Error _ -> assert false
-          done;
-          let replay label =
-            let replica = Server.Registry.create () in
-            Gc.compact ();
-            let t0 = Unix.gettimeofday () in
-            let applied = ref 0L in
-            let batches = ref 0 in
-            let rec pump () =
-              let batch = Server.Persist.ship persist ~after:!applied in
-              if batch.Store.Ship.reset || batch.Store.Ship.data <> "" then begin
-                batches := !batches + 1;
-                (match
-                   Server.Registry.apply_shipped replica
-                     ~reset:batch.Store.Ship.reset batch.Store.Ship.data
-                 with
-                | Ok (_, last) -> if last > !applied then applied := last
-                | Error e -> failwith ("repl bench: bad batch: " ^ e));
-                pump ()
-              end
-            in
-            pump ();
-            let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-            (* records regained per second of catch-up: a throughput,
-               so trend.exe --section repl gates it like the evaluate
-               cases (slower catch-up = regression) *)
-            let rps = float_of_int records /. Float.max 1e-9 (ms /. 1000.0) in
-            Printf.printf "%-28s | %9.1f ms | %4d batches | frontier %Ld\n"
-              label ms !batches !applied;
-            repl_json :=
-              Jsonlight.Obj
-                [
-                  ("case", Jsonlight.String label);
-                  ("records", Jsonlight.Int records);
-                  ("catchup_ms", Jsonlight.Float ms);
-                  ("requests_per_second", Jsonlight.Float rps);
-                  ("batches", Jsonlight.Int !batches);
-                ]
-              :: !repl_json;
-            ms
-          in
-          let full = replay "catch-up: full replay" in
-          (* compact: the journal collapses into the snapshot, so a
-             fresh cursor now bootstraps from the reset batch *)
-          Server.Registry.checkpoint registry;
-          let snap = replay "catch-up: snapshot bootstrap" in
-          Printf.printf
-            "\nsnapshot bootstrap replaced a %d-record replay: %.1fx faster\n"
-            records
-            (full /. Float.max 0.1 snap)))
-
-(* A primary (journaling to a temp dir) with a live replica tailing it:
-   replica-side warm-evaluate throughput against the primary's, then
-   ship lag while 8 writers journal creates on the primary. *)
-let repl () =
-  header "REPL" "Log-shipping replication (primary + replica, loopback TCP)";
-  print_endline "A replica tails the primary's journal over GET /replication/log and";
-  print_endline "serves evaluates from the applied copy; \"ship lag\" samples";
-  print_endline "GET /replication on the replica while 8 writers create sessions";
-  print_endline "on the primary.";
-  print_endline "";
-  let dir = temp_dir "sosae-repl" in
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
-      let primary =
-        Server.Daemon.start
-          ~config:
-            {
-              Server.Daemon.default_config with
-              Server.Daemon.port = 0;
-              workers = (if smoke then 2 else 4);
-              queue_capacity = 256;
-              data_dir = Some dir;
-              fsync = Store.Journal.Never;
-              compact_threshold = max_int;
-            }
-          ()
-      in
-      Fun.protect
-        ~finally:(fun () -> Server.Daemon.stop primary)
-        (fun () ->
-          let replica =
-            Server.Daemon.start
-              ~config:
-                {
-                  Server.Daemon.default_config with
-                  Server.Daemon.port = 0;
-                  workers = (if smoke then 2 else 8);
-                  queue_capacity = 256;
-                  replica_of = Some ("127.0.0.1", Server.Daemon.port primary);
-                  replica_poll = 0.002;
-                }
-              ()
-          in
-          Fun.protect
-            ~finally:(fun () -> Server.Daemon.stop replica)
-            (fun () ->
-              let project, source = Lazy.force wal_project in
-              let registry = (Server.Daemon.ctx primary).Server.Api.registry in
-              (match Server.Registry.add registry ~id:"pims" ~source project with
-              | Ok () -> ()
-              | Error `Conflict -> assert false);
-              repl_wait replica ~seq:1L;
-              (* warm both verdict caches so the cases measure serving *)
-              List.iter
-                (fun d ->
-                  match
-                    Server.Registry.with_session
-                      (Server.Daemon.ctx d).Server.Api.registry "pims"
-                      (fun s -> ignore (Core.Sosae.Session.evaluate s))
-                  with
-                  | Ok () -> ()
-                  | Error `Not_found -> assert false)
-                [ primary; replica ];
-              let clients = if smoke then 2 else 8 in
-              let requests = if smoke then 5 else 100 in
-              let replica_rps =
-                serve_case ~sink:repl_json replica
-                  ~label:"replica POST evaluate (warm)" ~clients ~requests
-                  ~meth:Server.Http.POST ~target:"/sessions/pims/evaluate"
-                  ~body:(Some "{}")
-              in
-              let primary_rps =
-                serve_case ~sink:repl_json primary
-                  ~label:"primary POST evaluate (warm)" ~clients ~requests
-                  ~meth:Server.Http.POST ~target:"/sessions/pims/evaluate"
-                  ~body:(Some "{}")
-              in
-              (* ship lag under write load: 8 writers journal creates on
-                 the primary while a sampler polls the replica's lag *)
-              let writers = 8 in
-              let per_writer = if smoke then 2 else 25 in
-              let stop_sampling = Atomic.make false in
-              let max_lag = ref 0L in
-              let samples = ref [] in
-              let sampler =
-                Thread.create
-                  (fun () ->
-                    let rport = Server.Daemon.port replica in
-                    let c = ref (Server.Client.connect ~port:rport ()) in
-                    while not (Atomic.get stop_sampling) do
-                      (match Server.Client.replication !c with
-                      | Ok r ->
-                          let lag = r.Server.Client.lag in
-                          if lag > !max_lag then max_lag := lag;
-                          samples := lag :: !samples
-                      | Error _ ->
-                          Server.Client.close !c;
-                          c := Server.Client.connect ~port:rport ());
-                      Thread.delay 0.002
-                    done;
-                    Server.Client.close !c)
-                  ()
-              in
-              Gc.compact ();
-              let t0 = Unix.gettimeofday () in
-              let threads =
-                List.init writers (fun w ->
-                    Thread.create
-                      (fun () ->
-                        for i = 0 to per_writer - 1 do
-                          match
-                            Server.Registry.add registry
-                              ~id:(Printf.sprintf "r%d-s%04d" w i)
-                              ~source project
-                          with
-                          | Ok () -> ()
-                          | Error `Conflict -> assert false
-                        done)
-                      ())
-              in
-              List.iter Thread.join threads;
-              let write_wall = Unix.gettimeofday () -. t0 in
-              let total = writers * per_writer in
-              let cps = float_of_int total /. write_wall in
-              repl_wait replica ~seq:(Int64.of_int (total + 1));
-              let catchup_ms =
-                (Unix.gettimeofday () -. t0 -. write_wall) *. 1000.0
-              in
-              Atomic.set stop_sampling true;
-              Thread.join sampler;
-              let mean_lag =
-                match !samples with
-                | [] -> 0.0
-                | l ->
-                    List.fold_left
-                      (fun acc x -> acc +. Int64.to_float x)
-                      0.0 l
-                    /. float_of_int (List.length l)
-              in
-              Printf.printf
-                "%-28s | %8.0f creates/s | max lag %Ld records | mean %.1f | \
-                 caught up %.0f ms after last write\n"
-                (Printf.sprintf "ship lag (%d writers)" writers)
-                cps !max_lag mean_lag catchup_ms;
-              repl_json :=
-                Jsonlight.Obj
-                  [
-                    ("case", Jsonlight.String
-                       (Printf.sprintf "ship lag (%d writers)" writers));
-                    ("creates", Jsonlight.Int total);
-                    ("creates_per_second", Jsonlight.Float cps);
-                    ("max_lag_records", Jsonlight.Int (Int64.to_int !max_lag));
-                    ("mean_lag_records", Jsonlight.Float mean_lag);
-                    ("catchup_ms", Jsonlight.Float catchup_ms);
-                    ("lag_samples", Jsonlight.Int (List.length !samples));
-                  ]
-                :: !repl_json;
-              print_endline "";
-              Printf.printf
-                "replica warm evaluate %.0f req/s (%.0f%% of the primary's \
-                 %.0f); shipping kept the\nreplica within %Ld record(s) of \
-                 the primary under %d-writer load.\n"
-                replica_rps
-                (100.0 *. replica_rps /. Float.max 1.0 primary_rps)
-                primary_rps !max_lag writers)));
-  repl_catchup ()
-
-(* ------------------------------------------------------------------ *)
-(* SIM: Monte-Carlo dependability campaigns                           *)
-(* ------------------------------------------------------------------ *)
-
-let sim_json : Jsonlight.t list ref = ref []
-
-let sim_case ~label ~trials campaign =
-  let time_s jobs =
-    (* One reusable pool per jobs count; the warm-up batch also pays
-       the domain-spawn cost so the timed batches measure trial
-       throughput, not pool setup. *)
-    Dsim.Pool.with_pool ~jobs (fun pool ->
-        ignore (Dsim.Campaign.run ~pool ~trials:(min trials 50) campaign);
-        Gc.compact ();
-        let t0 = Unix.gettimeofday () in
-        ignore (Dsim.Campaign.run ~pool ~trials campaign);
-        Unix.gettimeofday () -. t0)
-  in
-  let jobs_list = [ 1; 2; 4; 8 ] in
-  let timings = List.map (fun jobs -> (jobs, time_s jobs)) jobs_list in
-  let base = List.assoc 1 timings in
-  let report = Dsim.Campaign.report ~trials campaign in
-  let rows =
-    List.map
-      (fun (jobs, s) ->
-        let tps = if s > 0.0 then float_of_int trials /. s else 0.0 in
-        let speedup = base /. s in
-        Printf.printf "%-26s | %4d | %9.0f | %7.2fx\n" label jobs tps speedup;
-        Jsonlight.Obj
-          [
-            ("jobs", Jsonlight.Int jobs);
-            ("seconds", Jsonlight.Float s);
-            ("trials_per_sec", Jsonlight.Float tps);
-            ("speedup", Jsonlight.Float speedup);
-          ])
-      timings
-  in
-  sim_json :=
-    Jsonlight.Obj
-      [
-        ("campaign", Jsonlight.String label);
-        ("trials", Jsonlight.Int trials);
-        ("cores", Jsonlight.Int (Core.Sosae.default_jobs ()));
-        ("completion_rate", Jsonlight.Float report.Dsim.Stats.completion_rate);
-        ( "completion_ci",
-          Jsonlight.Obj
-            [
-              ("lo", Jsonlight.Float report.Dsim.Stats.completion_ci.Dsim.Stats.lo);
-              ("hi", Jsonlight.Float report.Dsim.Stats.completion_ci.Dsim.Stats.hi);
-            ] );
-        ("mean_uptime", Jsonlight.Float report.Dsim.Stats.mean_uptime);
-        ("runs", Jsonlight.List rows);
-      ]
-    :: !sim_json;
-  base /. List.assoc 4 timings
-
-let sim () =
-  header "SIM" "Monte-Carlo campaign trials/sec vs domain-pool size (--jobs)";
-  Printf.printf
-    "Each trial runs one sampled fault plan (crash window + downtime, seeded\n\
-     loss/jitter) through the architecture simulator; trials are independent and\n\
-     fan out on a reusable Dsim.Pool (host reports %d recommended domain(s) —\n\
-     speedup > 1 needs more than one core).\n\n"
-    (Core.Sosae.default_jobs ());
-  Printf.printf "%-26s | %4s | %9s | %8s\n" "campaign" "jobs" "trials/s" "speedup";
-  Printf.printf "%s\n" (String.make 56 '-');
-  let trials = if smoke then 60 else 4000 in
-  let crash =
-    sim_case ~label:"crash-availability" ~trials
-      (Casestudies.Campaigns.crash_availability ~loss:0.05 ())
-  in
-  let _pims =
-    sim_case ~label:"pims-price-feed" ~trials
-      (Casestudies.Campaigns.pims_price_feed ~loss:0.05 ())
-  in
-  print_endline "";
-  Printf.printf "crash campaign speedup at jobs=4: %.2fx%s\n" crash
-    (if crash >= 1.5 then " (acceptance: >= 1.5x ok)"
-     else " (below 1.5x target — needs >= 4 cores)")
 
 let pims_xml = lazy (Scenarioml.Xml_io.set_to_string Casestudies.Pims.scenario_set)
 
-let bench_tests =
+let micro_tests =
   let open Bechamel in
   [
     Test.make ~name:"xml-parse-pims-scenarios"
@@ -1576,69 +648,616 @@ let bench_tests =
                   (Semweb.Query.v "component");
               ]));
   ]
-  @ scale_tests
+  (* walkthrough cost vs system size: one scenario across an n-chain *)
+  @ List.map
+      (fun n ->
+        let set, architecture, mapping = synthetic_suite ~components:n ~scenarios:1 ~span:n in
+        Test.make ~name:(Printf.sprintf "walkthrough-chain-%03d" n)
+          (Staged.stage (fun () ->
+               Walkthrough.Engine.evaluate_set ~set ~architecture ~mapping ())))
+      [ 8; 32; 128 ]
 
-let micro_json : Jsonlight.t list ref = ref []
-
-let bench () =
-  header "PERF" "Bechamel micro-benchmarks (one per pipeline stage)";
+let micro_case test =
   let open Bechamel in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let instance = Toolkit.Instance.monotonic_clock in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-  Printf.printf "%-34s | %14s | %8s\n" "benchmark" "time/run" "r^2";
-  Printf.printf "%s\n" (String.make 64 '-');
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          let estimate =
-            match Analyze.OLS.estimates ols_result with
-            | Some [ e ] -> e
-            | Some _ | None -> nan
-          in
-          let r2 =
-            match Analyze.OLS.r_square ols_result with Some r -> r | None -> nan
-          in
-          let human t =
-            if t >= 1e9 then Printf.sprintf "%8.2f s " (t /. 1e9)
-            else if t >= 1e6 then Printf.sprintf "%8.2f ms" (t /. 1e6)
-            else if t >= 1e3 then Printf.sprintf "%8.2f us" (t /. 1e3)
-            else Printf.sprintf "%8.2f ns" t
-          in
-          Printf.printf "%-34s | %14s | %8.4f\n" name (human estimate) r2;
-          micro_json :=
-            Jsonlight.Obj
-              [
-                ("name", Jsonlight.String name);
-                ("ns_per_run", Jsonlight.Float estimate);
-                ("r_square", Jsonlight.Float r2);
-              ]
-            :: !micro_json)
-        analyzed)
-    bench_tests
+  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
+  let analyzed = Analyze.all ols instance (Benchmark.all cfg [ instance ] test) in
+  let name, result =
+    match List.of_seq (Hashtbl.to_seq analyzed) with
+    | [ one ] -> one
+    | _ -> assert false (* one test in, one estimate out *)
+  in
+  let estimate =
+    match Analyze.OLS.estimates result with Some [ e ] -> e | Some _ | None -> nan
+  in
+  [
+    ("name", Jsonlight.String name);
+    ("ns_per_run", Jsonlight.Float estimate);
+    ("r_square", Jsonlight.Float (Option.value ~default:nan (Analyze.OLS.r_square result)));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* INCR: full vs incremental re-evaluation after an edit              *)
+(* ------------------------------------------------------------------ *)
+
+let links_between architecture a b =
+  List.filter
+    (fun l ->
+      let f = l.Adl.Structure.link_from.Adl.Structure.anchor
+      and t = l.Adl.Structure.link_to.Adl.Structure.anchor in
+      (String.equal f a && String.equal t b) || (String.equal f b && String.equal t a))
+    architecture.Adl.Structure.links
+
+(* Timed comparison: after excising the links between [a] and [b],
+   re-evaluate the whole suite. "full" runs a fresh evaluation; the
+   session applies the diff to a warm cache and re-evaluates only what
+   the excision touched. Warming the sessions (the state a long-lived
+   tool already has) is not timed. *)
+let incr_case ~label ~reps ~a ~b (set, architecture, mapping) =
+  let ops =
+    List.map
+      (fun l -> Adl.Diff.Remove_link l.Adl.Structure.link_id)
+      (links_between architecture a b)
+  in
+  assert (ops <> []);
+  let broken = Adl.Diff.apply_all architecture ops in
+  let full_ms =
+    time_ms (fun () ->
+        for _ = 1 to reps do
+          ignore (Walkthrough.Engine.evaluate_set ~set ~architecture:broken ~mapping ())
+        done)
+  in
+  let project = { Core.Sosae.scenarios = set; architecture; mapping } in
+  let sessions =
+    List.init reps (fun _ ->
+        let s = Core.Sosae.Session.create project in
+        ignore (Core.Sosae.Session.evaluate s);
+        s)
+  in
+  let incr_ms =
+    time_ms (fun () ->
+        List.iter
+          (fun s ->
+            Core.Sosae.Session.apply_diff s ops;
+            ignore (Core.Sosae.Session.evaluate s))
+          sessions)
+  in
+  let stats = Core.Sosae.Session.stats (List.hd sessions) in
+  let total = List.length set.Scenarioml.Scen.scenarios in
+  let per_rep ms = Jsonlight.Float (ms /. float_of_int reps) in
+  [
+    ("suite", Jsonlight.String label);
+    ("scenarios", Jsonlight.Int total);
+    ("reps", Jsonlight.Int reps);
+    ("full_ms_per_rep", per_rep full_ms);
+    ("incremental_ms_per_rep", per_rep incr_ms);
+    ("speedup", Jsonlight.Float (full_ms /. incr_ms));
+    ("re_evaluated", Jsonlight.Int (stats.Core.Sosae.Session.evaluations - total));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* SCALE: parallel suite evaluation vs number of domains              *)
+(* ------------------------------------------------------------------ *)
+
+let scale_case ~label ~reps (set, architecture, mapping) =
+  let project = { Core.Sosae.scenarios = set; architecture; mapping } in
+  let ms_per_eval jobs =
+    ignore (Core.Sosae.evaluate ~jobs project) (* warm-up, not timed *);
+    time_ms (fun () ->
+        for _ = 1 to reps do
+          ignore (Core.Sosae.evaluate ~jobs project)
+        done)
+    /. float_of_int reps
+  in
+  let timings = List.map (fun jobs -> (jobs, ms_per_eval jobs)) [ 1; 2; 4; 8 ] in
+  let base = List.assoc 1 timings in
+  [
+    ("suite", Jsonlight.String label);
+    ("scenarios", Jsonlight.Int (List.length set.Scenarioml.Scen.scenarios));
+    ("reps", Jsonlight.Int reps);
+    ("cores", Jsonlight.Int (Core.Sosae.default_jobs ()));
+    ( "runs",
+      Jsonlight.List
+        (List.map
+           (fun (jobs, ms) ->
+             Jsonlight.Obj
+               [
+                 ("jobs", Jsonlight.Int jobs);
+                 ("ms_per_eval", Jsonlight.Float ms);
+                 ("speedup", Jsonlight.Float (base /. ms));
+               ])
+           timings) );
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* WAL: write-ahead journal throughput                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The project every create journals, plus its XML serialization —
+   passed as [~source] the way the API layer hands over the request
+   strings it parsed, so the bench measures the server's actual
+   journaled-create path (no per-create re-serialization). *)
+let wal_source =
+  lazy
+    ( Scenarioml.Xml_io.set_to_string Casestudies.Pims.scenario_set,
+      Adl.Xml_io.to_string Casestudies.Pims.architecture,
+      Mapping.Xml_io.to_string Casestudies.Pims.mapping )
+
+(* [writers] threads share [registry], each adding its own slice of
+   [creates] PIMS sessions — with a journal, each add is the
+   acknowledged-durability path of POST /sessions (journaled and
+   fsynced per policy before it returns). Returns the adds done and
+   their rate. *)
+let add_session registry id =
+  match Server.Registry.add registry ~id ~source:(Lazy.force wal_source) pims_project with
+  | Ok () -> ()
+  | Error `Conflict -> assert false
+
+let add_sessions registry ~prefix ~writers ~creates =
+  ignore (Lazy.force wal_source) (* serialized once, outside the timing *);
+  let per_writer = creates / writers in
+  let add w =
+    for i = 0 to per_writer - 1 do
+      add_session registry (Printf.sprintf "%s%d-s%04d" prefix w i)
+    done
+  in
+  let ms =
+    time_ms (fun () ->
+        if writers = 1 then add 0
+        else List.iter Thread.join (List.init writers (Thread.create add)))
+  in
+  let added = per_writer * writers in
+  (added, float_of_int added /. (ms /. 1000.0))
+
+(* compaction pinned out of reach: the cases measure the journaling
+   path itself, not snapshot cost *)
+let with_persist ?group fsync f =
+  with_temp_dir "sosae-wal" (fun dir ->
+      let persist = fst (Server.Persist.open_ ~fsync ?group ~compact_bytes:max_int dir) in
+      Fun.protect ~finally:(fun () -> Server.Persist.close persist) (fun () -> f persist))
+
+let wal_gate = gated "creates_per_second" 0.5
+
+(* single-writer creates; [None] is the in-memory baseline *)
+let wal_case ~label ~creates policy =
+  let run persist =
+    let registry = Server.Registry.create ?persist () in
+    let creates, cps = add_sessions registry ~prefix:"w" ~writers:1 ~creates in
+    let stats = Option.map Server.Persist.stats persist in
+    let stat f = Jsonlight.Int (Option.fold ~none:0 ~some:f stats) in
+    wal_gate
+      [
+        ("case", Jsonlight.String label);
+        ("creates", Jsonlight.Int creates);
+        ("creates_per_second", Jsonlight.Float cps);
+        ("journal_bytes", stat (fun s -> s.Store.Wal.bytes));
+        ("fsyncs", stat (fun s -> s.Store.Wal.fsyncs));
+        ("compactions", stat (fun s -> s.Store.Wal.compactions));
+      ]
+  in
+  match policy with
+  | None -> run None
+  | Some fsync -> with_persist fsync (fun p -> run (Some p))
+
+(* 8 writers on one registry — the contended path POST /sessions takes
+   under concurrent load. With [group] the writers stage under the
+   mutation lock but share fsyncs through the group-commit barrier;
+   without it every create pays its own. The default group config
+   (window 0) lets batches form from the writers that queue while the
+   previous fsync is in flight: on this host a sleep-based
+   accumulation window costs more than the fsyncs it saves. *)
+let wal_concurrent_case ~label ~creates ~group fsync =
+  let group = if group then Some Store.Journal.Group.default else None in
+  with_persist ?group fsync (fun persist ->
+      let registry = Server.Registry.create ~persist () in
+      let creates, cps = add_sessions registry ~prefix:"w" ~writers:8 ~creates in
+      let s = Server.Persist.stats persist in
+      let saved, largest =
+        match Server.Persist.group_stats persist with
+        | Some g -> (g.Store.Journal.Group.fsyncs_saved, g.Store.Journal.Group.largest_batch)
+        | None -> (0, 0)
+      in
+      wal_gate
+        [
+          ("case", Jsonlight.String label);
+          ("creates", Jsonlight.Int creates);
+          ("writers", Jsonlight.Int 8);
+          ("creates_per_second", Jsonlight.Float cps);
+          ("journal_bytes", Jsonlight.Int s.Store.Wal.bytes);
+          ("fsyncs", Jsonlight.Int s.Store.Wal.fsyncs);
+          ("fsyncs_saved", Jsonlight.Int saved);
+          ("largest_batch", Jsonlight.Int largest);
+          ("compactions", Jsonlight.Int s.Store.Wal.compactions);
+        ])
+
+(* ------------------------------------------------------------------ *)
+(* REPL: log-shipping replication                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Poll [GET /replication] on [daemon] until the replica has applied
+   at least [seq] with zero lag against its primary. *)
+let repl_wait ?(timeout = 30.0) daemon ~seq =
+  let c = Server.Client.connect ~port:(Server.Daemon.port daemon) () in
+  Fun.protect
+    ~finally:(fun () -> Server.Client.close c)
+    (fun () ->
+      let deadline = Unix.gettimeofday () +. timeout in
+      let rec loop () =
+        match Server.Client.replication c with
+        | Ok r
+          when r.Server.Client.applied_seq >= seq && r.Server.Client.lag = 0L
+          ->
+            ()
+        | _ when Unix.gettimeofday () > deadline ->
+            failwith "repl bench: replica did not catch up"
+        | _ ->
+            Thread.delay 0.005;
+            loop ()
+      in
+      loop ())
+
+let with_daemon config f =
+  let daemon =
+    Server.Daemon.start
+      ~config:{ config with Server.Daemon.port = 0; queue_capacity = 256 }
+      ()
+  in
+  Fun.protect ~finally:(fun () -> Server.Daemon.stop daemon) (fun () -> f daemon)
+
+(* A primary journaling to a temp dir with a live replica tailing it:
+   8 writers journal creates on the primary while a sampler polls the
+   replica's lag. *)
+let ship_lag_case () =
+  with_temp_dir "sosae-repl" @@ fun dir ->
+  with_daemon
+    {
+      Server.Daemon.default_config with
+      workers = (if smoke then 2 else 4);
+      data_dir = Some dir;
+      fsync = Store.Journal.Never;
+      compact_threshold = max_int;
+    }
+  @@ fun primary ->
+  with_daemon
+    {
+      Server.Daemon.default_config with
+      workers = (if smoke then 2 else 8);
+      replica_of = Some ("127.0.0.1", Server.Daemon.port primary);
+      replica_poll = 0.002;
+    }
+  @@ fun replica ->
+  let registry = (Server.Daemon.ctx primary).Server.Api.registry in
+  add_session registry "pims";
+  repl_wait replica ~seq:1L;
+  let stop_sampling = Atomic.make false in
+  let max_lag = ref 0L in
+  let samples = ref [] in
+  let sampler =
+    Thread.create
+      (fun () ->
+        let rport = Server.Daemon.port replica in
+        let c = ref (Server.Client.connect ~port:rport ()) in
+        while not (Atomic.get stop_sampling) do
+          (match Server.Client.replication !c with
+          | Ok r ->
+              let lag = r.Server.Client.lag in
+              if lag > !max_lag then max_lag := lag;
+              samples := lag :: !samples
+          | Error _ ->
+              Server.Client.close !c;
+              c := Server.Client.connect ~port:rport ());
+          Thread.delay 0.002
+        done;
+        Server.Client.close !c)
+      ()
+  in
+  let creates, cps =
+    add_sessions registry ~prefix:"r" ~writers:8 ~creates:(if smoke then 16 else 200)
+  in
+  let t0 = Unix.gettimeofday () in
+  repl_wait replica ~seq:(Int64.of_int (creates + 1));
+  let catchup_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+  Atomic.set stop_sampling true;
+  Thread.join sampler;
+  let mean_lag =
+    match !samples with
+    | [] -> 0.0
+    | l ->
+        List.fold_left (fun acc x -> acc +. Int64.to_float x) 0.0 l
+        /. float_of_int (List.length l)
+  in
+  [
+    ("case", Jsonlight.String "ship lag (8 writers)");
+    ("creates", Jsonlight.Int creates);
+    ("creates_per_second", Jsonlight.Float cps);
+    ("max_lag_records", Jsonlight.Int (Int64.to_int !max_lag));
+    ("mean_lag_records", Jsonlight.Float mean_lag);
+    ("catchup_ms", Jsonlight.Float catchup_ms);
+    ("lag_samples", Jsonlight.Int (List.length !samples));
+  ]
+
+(* A fresh replica tailing a journal of one create plus alternating
+   component renames — small records, so a record-by-record replay
+   costs exactly the per-record apply work that a snapshot bootstrap
+   ([~snapshot]: the store is checkpointed first, so a fresh cursor
+   gets the compacted snapshot's reset batch) collapses into one state
+   install. *)
+let catchup_case ~label ~snapshot =
+  let records = if smoke then 200 else 10_000 in
+  with_temp_dir "sosae-repl-catchup" @@ fun dir ->
+  let persist, _ =
+    Server.Persist.open_ ~fsync:Store.Journal.Never ~compact_bytes:max_int dir
+  in
+  Fun.protect ~finally:(fun () -> Server.Persist.close persist) @@ fun () ->
+  let registry = Server.Registry.create ~persist () in
+  add_session registry "pims";
+  for i = 1 to records - 1 do
+    let rename =
+      if i land 1 = 1 then
+        Adl.Diff.Rename_element { old_id = "loader"; new_id = "loader-b" }
+      else Adl.Diff.Rename_element { old_id = "loader-b"; new_id = "loader" }
+    in
+    match Server.Registry.apply_diff registry "pims" ~ops:(fun _ -> [ rename ]) with
+    | Ok _ -> ()
+    | Error _ -> assert false
+  done;
+  if snapshot then Server.Registry.checkpoint registry;
+  let replica = Server.Registry.create () in
+  let applied = ref 0L in
+  let batches = ref 0 in
+  let rec pump () =
+    let batch = Server.Persist.ship persist ~after:!applied in
+    if batch.Store.Ship.reset || batch.Store.Ship.data <> "" then begin
+      incr batches;
+      (match
+         Server.Registry.apply_shipped replica ~reset:batch.Store.Ship.reset
+           batch.Store.Ship.data
+       with
+      | Ok (_, last) -> if last > !applied then applied := last
+      | Error e -> failwith ("repl bench: bad batch: " ^ e));
+      pump ()
+    end
+  in
+  let ms = time_ms pump in
+  gated "records_per_second" 0.5
+    [
+      ("case", Jsonlight.String label);
+      ("records", Jsonlight.Int records);
+      ("catchup_ms", Jsonlight.Float ms);
+      ( "records_per_second",
+        Jsonlight.Float (float_of_int records /. Float.max 1e-9 (ms /. 1000.0)) );
+      ("batches", Jsonlight.Int !batches);
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* SIM: Monte-Carlo dependability campaigns                           *)
+(* ------------------------------------------------------------------ *)
+
+let sim_case ~label ~trials campaign =
+  let seconds jobs =
+    (* One reusable pool per jobs count; the warm-up batch also pays
+       the domain-spawn cost so the timed batches measure trial
+       throughput, not pool setup. *)
+    Dsim.Pool.with_pool ~jobs (fun pool ->
+        ignore (Dsim.Campaign.run ~pool ~trials:(min trials 50) campaign);
+        time_ms (fun () -> ignore (Dsim.Campaign.run ~pool ~trials campaign)) /. 1000.0)
+  in
+  let timings = List.map (fun jobs -> (jobs, seconds jobs)) [ 1; 2; 4; 8 ] in
+  let base = List.assoc 1 timings in
+  let report = Dsim.Campaign.report ~trials campaign in
+  [
+    ("campaign", Jsonlight.String label);
+    ("trials", Jsonlight.Int trials);
+    ("cores", Jsonlight.Int (Core.Sosae.default_jobs ()));
+    ("completion_rate", Jsonlight.Float report.Dsim.Stats.completion_rate);
+    ( "completion_ci",
+      Jsonlight.Obj
+        [
+          ("lo", Jsonlight.Float report.Dsim.Stats.completion_ci.Dsim.Stats.lo);
+          ("hi", Jsonlight.Float report.Dsim.Stats.completion_ci.Dsim.Stats.hi);
+        ] );
+    ("mean_uptime", Jsonlight.Float report.Dsim.Stats.mean_uptime);
+    ( "runs",
+      Jsonlight.List
+        (List.map
+           (fun (jobs, s) ->
+             Jsonlight.Obj
+               [
+                 ("jobs", Jsonlight.Int jobs);
+                 ("seconds", Jsonlight.Float s);
+                 ( "trials_per_sec",
+                   Jsonlight.Float (if s > 0.0 then float_of_int trials /. s else 0.0) );
+                 ("speedup", Jsonlight.Float (base /. s));
+               ])
+           timings) );
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* The section table and its runner                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A section is data: its command-line target, its key in
+   BENCH_walkthrough.json, a header and intro, and its cases. Each
+   case runs once and returns one row of named fields, the first of
+   which labels the row; bench/trend.exe compares the rows that carry
+   a "gate". *)
+type section = {
+  target : string;
+  key : string;
+  id : string;
+  title : string;
+  intro : string;
+  cases : (unit -> (string * Jsonlight.t) list) list;
+}
+
+let cores_note =
+  Printf.sprintf
+    "(host reports %d recommended domain(s) — speedup > 1 needs more than one core)\n"
+    (Core.Sosae.default_jobs ())
+
+let sections =
+  [
+    {
+      target = "bench";
+      key = "micro";
+      id = "PERF";
+      title = "Bechamel micro-benchmarks (one per pipeline stage)";
+      intro = "";
+      cases = List.map (fun test () -> micro_case test) micro_tests;
+    };
+    {
+      target = "incr";
+      key = "incremental";
+      id = "INCR";
+      title = "Full vs incremental re-evaluation after a single-link excision";
+      intro =
+        "Each suite is re-evaluated after excising one link: \"full\" evaluates\n\
+         every scenario afresh; \"incremental\" replays a warm Sosae.Session\n\
+         (per-rep times; re_evaluated = scenarios the session re-walked).\n";
+      cases =
+        List.map
+          (fun n () ->
+            incr_case ~label:(chain_label n)
+              ~reps:(if smoke then 2 else max 3 (2048 / n))
+              ~a:(Printf.sprintf "c%d" (n / 2))
+              ~b:(Printf.sprintf "c%d" ((n / 2) + 1))
+              (chain_suite n))
+          chains
+        @ [
+            (fun () ->
+              incr_case ~label:"pims-excise-loader-da" ~reps:(if smoke then 5 else 100)
+                ~a:"loader" ~b:"data-access"
+                ( Casestudies.Pims.scenario_set,
+                  Casestudies.Pims.architecture,
+                  Casestudies.Pims.mapping ));
+          ];
+    };
+    {
+      target = "scale";
+      key = "scale";
+      id = "SCALE";
+      title = "Suite evaluation wall-clock vs domain-pool size (--jobs)";
+      intro =
+        "Every scenario of a suite is an independent walkthrough; Sosae.evaluate ~jobs\n\
+         fans them out over an OCaml 5 domain pool (per-rep times)\n" ^ cores_note;
+      cases =
+        List.map
+          (fun n () ->
+            scale_case ~label:(chain_label n)
+              ~reps:(if smoke then 2 else max 3 (4096 / n))
+              (chain_suite n))
+          chains;
+    };
+    {
+      target = "wal";
+      key = "wal";
+      id = "WAL";
+      title = "Durable session creation: journaled-create throughput per fsync policy";
+      intro =
+        "Each create journals the full PIMS project (~38 KB) before returning —\n\
+         the same acknowledged-durability path POST /sessions takes with\n\
+         --data-dir. \"no-journal\" is the in-memory baseline; the \"w8\" cases\n\
+         share one registry between 8 concurrent writers.\n";
+      cases =
+        (let creates = if smoke then 5 else 200 in
+         let w8 = if smoke then 8 else 400 in
+         List.map
+           (fun (label, policy) () -> wal_case ~label ~creates policy)
+           [
+             ("no-journal", None);
+             ("fsync=never", Some Store.Journal.Never);
+             ("fsync=interval:0.05", Some (Store.Journal.Interval 0.05));
+             ("fsync=always", Some Store.Journal.Always);
+           ]
+         @ List.concat_map
+             (fun (name, fsync) ->
+               List.map
+                 (fun group () ->
+                   wal_concurrent_case
+                     ~label:("w8 fsync=" ^ name ^ if group then " group" else "")
+                     ~creates:w8 ~group fsync)
+                 [ false; true ])
+             [
+               ("always", Store.Journal.Always);
+               ("never", Store.Journal.Never);
+               ("interval:0.05", Store.Journal.Interval 0.05);
+             ]);
+    };
+    {
+      target = "repl";
+      key = "repl";
+      id = "REPL";
+      title = "Log-shipping replication (primary + replica, loopback TCP)";
+      intro =
+        "A replica tails the primary's journal over GET /replication/log; \"ship\n\
+         lag\" samples GET /replication on the replica while 8 writers create\n\
+         sessions on the primary. The catch-up cases tail a journal of one\n\
+         create plus renames into a fresh replica, record by record and from\n\
+         the compacted snapshot.\n";
+      cases =
+        [
+          ship_lag_case;
+          (fun () -> catchup_case ~label:"catch-up: full replay" ~snapshot:false);
+          (fun () -> catchup_case ~label:"catch-up: snapshot bootstrap" ~snapshot:true);
+        ];
+    };
+    {
+      target = "sim";
+      key = "sim";
+      id = "SIM";
+      title = "Monte-Carlo campaign trials/sec vs domain-pool size (--jobs)";
+      intro =
+        "Each trial runs one sampled fault plan (crash window + downtime, seeded\n\
+         loss/jitter) through the architecture simulator; trials are independent and\n\
+         fan out on a reusable Dsim.Pool\n" ^ cores_note;
+      cases =
+        (let trials = if smoke then 60 else 4000 in
+         [
+           (fun () ->
+             sim_case ~label:"crash-availability" ~trials
+               (Casestudies.Campaigns.crash_availability ~loss:0.05 ()));
+           (fun () ->
+             sim_case ~label:"pims-price-feed" ~trials
+               (Casestudies.Campaigns.pims_price_feed ~loss:0.05 ()));
+         ]);
+    };
+  ]
+
+let rec show = function
+  | Jsonlight.String s -> s
+  | Jsonlight.Int i -> string_of_int i
+  | Jsonlight.Float f -> Printf.sprintf (if Float.abs f >= 1000.0 then "%.0f" else "%.3f") f
+  | Jsonlight.Obj fields ->
+      "{" ^ String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ show v) fields) ^ "}"
+  | Jsonlight.List items -> String.concat "" (List.map (fun v -> "\n    " ^ show v) items)
+  | v -> Jsonlight.to_string v
+
+(* Prints the section and returns its JSON: one object per case. *)
+let run_section s =
+  header s.id s.title;
+  print_string s.intro;
+  print_newline ();
+  let row case =
+    let fields = case () in
+    (match fields with
+    | (_, label) :: rest ->
+        Printf.printf "%-30s %s\n%!" (show label)
+          (String.concat "  " (List.map (fun (k, v) -> k ^ "=" ^ show v) rest))
+    | [] -> ());
+    Jsonlight.Obj fields
+  in
+  (s.key, Jsonlight.List (List.map row s.cases))
 
 let bench_json_file = "BENCH_walkthrough.json"
 
-(* Machine-readable companion of the PERF/INCR/SCALE tables, for
-   tooling and for EXPERIMENTS.md to cite stable numbers. Sections
-   whose target did not run in this invocation are carried over from
-   the existing file instead of being clobbered with empty lists. *)
-let write_bench_json () =
-  let sections =
-    [
-      ("micro", !micro_json);
-      ("incremental", !incr_json);
-      ("scale", !scale_json);
-      ("serve", !serve_json);
-      ("wal", !wal_json);
-      ("repl", !repl_json);
-      ("sim", !sim_json);
-    ]
-  in
-  if List.exists (fun (_, fresh) -> fresh <> []) sections then begin
+(* Machine-readable companion of the section tables, for tooling, the
+   trend gate and EXPERIMENTS.md. Sections that did not run in this
+   invocation are carried over from the existing file instead of being
+   clobbered — only sections still in the table, so a retired section
+   is dropped rather than copied forward. *)
+let write_bench_json fresh =
+  if fresh <> [] then begin
     let existing =
       if not (Sys.file_exists bench_json_file) then []
       else begin
@@ -1651,9 +1270,10 @@ let write_bench_json () =
         | Ok _ | Error _ -> []
       end
     in
-    let section (name, fresh) =
-      if fresh <> [] then Some (name, Jsonlight.List (List.rev fresh))
-      else Option.map (fun kept -> (name, kept)) (List.assoc_opt name existing)
+    let section s =
+      match List.assoc_opt s.key fresh with
+      | Some rows -> Some (s.key, rows)
+      | None -> Option.map (fun kept -> (s.key, kept)) (List.assoc_opt s.key existing)
     in
     let json =
       Jsonlight.Obj
@@ -1673,8 +1293,8 @@ let write_bench_json () =
     Printf.printf "\nwrote %s\n" bench_json_file;
     (* Trend history: every run also lands in bench/results/ as a
        timestamped file plus latest.json, which bench/trend.exe diffs
-       against a previous run's latest.json (CI fails on a >20% serve
-       regression). Skipped when not run from the repo root. *)
+       against a previous run's latest.json. Skipped when not run from
+       the repo root. *)
     if Sys.file_exists "bench" && Sys.is_directory "bench" then begin
       let results_dir = Filename.concat "bench" "results" in
       if not (Sys.file_exists results_dir) then Unix.mkdir results_dir 0o755;
@@ -1724,33 +1344,21 @@ let () =
   let targets =
     match Array.to_list Sys.argv with _ :: [] | [] -> [ "all" ] | _ :: rest -> rest
   in
+  let fresh = ref [] in
+  let run s = fresh := run_section s :: !fresh in
   List.iter
     (fun target ->
-      match target with
-      | "all" ->
+      let section = List.find_opt (fun s -> s.target = target) sections in
+      match (List.assoc_opt target artifacts, section) with
+      | Some f, _ -> f ()
+      | None, Some s -> run s
+      | None, None when target = "all" ->
           List.iter (fun (_, f) -> f ()) artifacts;
-          bench ();
-          incr ();
-          scale ();
-          serve ();
-          wal ();
-          repl ();
-          sim ()
-      | "bench" -> bench ()
-      | "incr" -> incr ()
-      | "scale" -> scale ()
-      | "serve" -> serve ()
-      | "wal" -> wal ()
-      | "repl" -> repl ()
-      | "sim" -> sim ()
-      | name -> (
-          match List.assoc_opt name artifacts with
-          | Some f -> f ()
-          | None ->
-              Printf.eprintf
-                "unknown target %S; known: %s, bench, incr, scale, serve, wal, repl, sim, all\n"
-                name
-                (String.concat ", " (List.map fst artifacts));
-              exit 2))
+          List.iter run sections
+      | None, None ->
+          Printf.eprintf "unknown target %S; known: %s, all\n" target
+            (String.concat ", "
+               (List.map fst artifacts @ List.map (fun s -> s.target) sections));
+          exit 2)
     targets;
-  write_bench_json ()
+  write_bench_json !fresh

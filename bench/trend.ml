@@ -1,19 +1,20 @@
-(* Bench-trend gate: compare one section of two bench result files
-   (bench/main.exe writes them under bench/results/) and fail when
-   throughput regressed beyond a threshold.
+(* Bench-trend gate: compare two bench result files (bench/main.exe
+   writes them under bench/results/) and fail when a gated case
+   regressed beyond its own bound.
 
-     trend [--section NAME] [--threshold FRAC] PREV.json NEXT.json
+     trend PREV.json NEXT.json
 
-   --section picks which JSON section to compare: "serve" (the
-   default; per-case requests_per_second), "wal" (per-case
-   creates_per_second), or "repl" (per-case requests_per_second of
-   the replica/primary evaluate cases and the catch-up cases, whose
-   throughput is records regained per second; the ship-lag case
-   carries no requests_per_second and is skipped). Exit 0 when every
-   case that exists in both
-   files is within the threshold (new and dropped cases are reported
-   but never fatal), exit 1 on a regression, exit 2 on unusable
-   inputs. CI runs this against the previous run's latest.json. *)
+   Every section of a result file is a list of case rows whose first
+   field is the row's label. A row of NEXT that carries
+   "gate": {"metric": K, "bound": B} is compared with the row of the
+   same section and label in PREV: a drop of K (a throughput) by more
+   than the fraction B is a regression. Exit 0 when every gated case
+   present in both files is within its bound (new and dropped cases are
+   reported but never fatal), exit 1 on a regression, exit 2 on
+   unusable inputs. CI runs this against the previous run's
+   latest.json. *)
+
+let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("trend: " ^ m); exit 2) fmt
 
 let read_json path =
   match
@@ -23,105 +24,90 @@ let read_json path =
     Jsonlight.of_string s
   with
   | Ok j -> j
-  | Error m ->
-      Printf.eprintf "trend: %s: %s\n" path m;
-      exit 2
-  | exception Sys_error m ->
-      Printf.eprintf "trend: %s\n" m;
-      exit 2
+  | Error m -> fail "%s: %s" path m
+  | exception Sys_error m -> fail "%s" m
 
-(* (case label, throughput) pairs of the chosen section *)
-let section_cases ~section ~value_key path json =
-  match Jsonlight.member section json with
-  | Some (Jsonlight.List cases) ->
-      List.filter_map
-        (fun case ->
-          match
-            ( Option.bind (Jsonlight.member "case" case) Jsonlight.string_opt,
-              Jsonlight.member value_key case )
-          with
-          | Some name, Some (Jsonlight.Float rps) -> Some (name, rps)
-          | Some name, Some (Jsonlight.Int rps) -> Some (name, float_of_int rps)
-          | _ -> None)
-        cases
-  | Some _ | None ->
-      Printf.eprintf "trend: %s has no %S section\n" path section;
-      exit 2
+let number = function
+  | Some (Jsonlight.Float f) -> Some f
+  | Some (Jsonlight.Int i) -> Some (float_of_int i)
+  | _ -> None
+
+(* ("section / label", fields) for every case row of every section *)
+let rows path =
+  match read_json path with
+  | Jsonlight.Obj sections ->
+      List.concat_map
+        (function
+          | section, Jsonlight.List cases ->
+              List.filter_map
+                (function
+                  | Jsonlight.Obj ((_, Jsonlight.String label) :: _ as fields) ->
+                      Some (section ^ " / " ^ label, fields)
+                  | _ -> None)
+                cases
+          | _ -> [])
+        sections
+  | _ -> fail "%s: not a bench result object" path
+
+let gate fields =
+  match List.assoc_opt "gate" fields with
+  | Some g -> (
+      match
+        ( Option.bind (Jsonlight.member "metric" g) Jsonlight.string_opt,
+          number (Jsonlight.member "bound" g) )
+      with
+      | Some metric, Some bound -> Some (metric, bound)
+      | _ -> None)
+  | None -> None
 
 let () =
-  let threshold = ref 0.20 in
-  let section = ref "serve" in
-  let files = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | "--threshold" :: v :: rest ->
-        (match float_of_string_opt v with
-        | Some f when f > 0.0 -> threshold := f
-        | Some _ | None ->
-            prerr_endline "trend: --threshold expects a positive fraction";
-            exit 2);
-        parse rest
-    | "--section" :: v :: rest ->
-        (match v with
-        | "serve" | "wal" | "repl" -> section := v
-        | _ ->
-            prerr_endline "trend: --section expects serve, wal, or repl";
-            exit 2);
-        parse rest
-    | f :: rest ->
-        files := f :: !files;
-        parse rest
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let value_key, unit_ =
-    match !section with
-    | "wal" -> ("creates_per_second", "creates/s")
-    | _ -> ("requests_per_second", "req/s")
-  in
-  match List.rev !files with
+  match List.tl (Array.to_list Sys.argv) with
   | [ prev_path; next_path ] ->
-      let cases path json = section_cases ~section:!section ~value_key path json in
-      let prev = cases prev_path (read_json prev_path) in
-      let next = cases next_path (read_json next_path) in
+      let prev = rows prev_path and next = rows next_path in
+      let gated rows =
+        List.filter_map
+          (fun (name, fields) -> Option.map (fun g -> (name, fields, g)) (gate fields))
+          rows
+      in
+      let next_gated = gated next in
+      if next_gated = [] then fail "%s has no gated case" next_path;
       let regressions = ref 0 in
       List.iter
-        (fun (name, old_rps) ->
-          match List.assoc_opt name next with
-          | None ->
-              Printf.printf "~ %-36s dropped (was %.0f %s)\n" name old_rps unit_
-          | Some new_rps when old_rps <= 0.0 ->
-              (* the relative change against a 0 throughput baseline is
-                 nan/inf, which no threshold comparison can flag — a
-                 dead case stays dead only if we say so explicitly *)
-              let regressed = new_rps <= 0.0 in
+        (fun (name, fields, (metric, bound)) ->
+          let now = number (List.assoc_opt metric fields) in
+          let before =
+            Option.bind (List.assoc_opt name prev) (fun f -> number (List.assoc_opt metric f))
+          in
+          match (before, now) with
+          | _, None -> fail "%s: %s has no %s" next_path name metric
+          | None, Some v -> Printf.printf "+ %-44s new case at %.0f %s\n" name v metric
+          | Some old, Some v when old <= 0.0 ->
+              (* the relative change against a 0 baseline is nan/inf,
+                 which no bound comparison can flag — a dead case stays
+                 dead only if we say so explicitly *)
+              let regressed = v <= 0.0 in
               if regressed then incr regressions;
-              Printf.printf "%c %-36s %8.0f -> %8.0f %s (baseline unusable)%s\n"
+              Printf.printf "%c %-44s %10.0f -> %10.0f %s (baseline unusable)%s\n"
                 (if regressed then '!' else '?')
-                name old_rps new_rps unit_
-                (if regressed then
-                   Printf.sprintf "  REGRESSION (still 0 %s)" unit_
-                 else "  not compared")
-          | Some new_rps ->
-              let change = (new_rps -. old_rps) /. old_rps in
-              let regressed = change < -. !threshold in
+                name old v metric
+                (if regressed then "  REGRESSION (still 0)" else "  not compared")
+          | Some old, Some v ->
+              let change = (v -. old) /. old in
+              let regressed = change < -.bound in
               if regressed then incr regressions;
-              Printf.printf "%c %-36s %8.0f -> %8.0f %s (%+.1f%%)%s\n"
+              Printf.printf "%c %-44s %10.0f -> %10.0f %s (%+.1f%%, bound -%.0f%%)%s\n"
                 (if regressed then '!' else '.')
-                name old_rps new_rps unit_ (100.0 *. change)
+                name old v metric (100.0 *. change) (100.0 *. bound)
                 (if regressed then "  REGRESSION" else ""))
-        prev;
+        next_gated;
       List.iter
-        (fun (name, rps) ->
-          if not (List.mem_assoc name prev) then
-            Printf.printf "+ %-36s new case at %.0f %s\n" name rps unit_)
-        next;
+        (fun (name, _, _) ->
+          if not (List.mem_assoc name next) then Printf.printf "~ %-44s dropped\n" name)
+        (gated prev);
       if !regressions > 0 then begin
-        Printf.eprintf "trend: %d %s case(s) regressed more than %.0f%%\n"
-          !regressions !section
-          (100.0 *. !threshold);
+        Printf.eprintf "trend: %d gated case(s) regressed beyond their bound\n" !regressions;
         exit 1
       end
   | _ ->
-      prerr_endline
-        "usage: trend [--section serve|wal|repl] [--threshold FRAC] PREV.json NEXT.json";
+      prerr_endline "usage: trend PREV.json NEXT.json";
       exit 2

@@ -42,8 +42,8 @@ let write_all fd s =
       match Unix.write fd b off (n - off) with
       | written -> go (off + written)
       | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-          (* a signal interrupting the write is not an error — same
-             treatment the daemon gives an interrupted accept *)
+          (* a signal interrupting the write is not an error: a SIGTERM
+             drain or SIGUSR1 promotion must not tear a response *)
           go off
   in
   go 0
@@ -272,6 +272,27 @@ let backoff_schedule ?(seed = 0) policy =
   in
   go 0 []
 
+(* The attempt loop behind {!call} and {!with_retry}: run [once] up to
+   [policy.max_attempts] times. With [follow_primary], a replica's 421
+   naming the primary calls [redirect] and retries at once — it counts
+   as an attempt but skips the backoff, since the primary is a
+   different host, not a recovering one. A retryable outcome backs off
+   on the jittered schedule, floored by any Retry-After. *)
+let attempts ~policy ~rng ~sleep ~follow_primary ~redirect once =
+  let rec attempt i =
+    let outcome = once () in
+    let last = i + 1 >= policy.max_attempts in
+    match outcome with
+    | Ok r when follow_primary && (not last) && redirect_target r <> None ->
+        redirect (Option.get (redirect_target r));
+        attempt (i + 1)
+    | _ when last || not (retryable_outcome outcome) -> outcome
+    | _ ->
+        sleep (floored_delay outcome (delay_for policy rng i));
+        attempt (i + 1)
+  in
+  attempt 0
+
 (* ------------------------------------------------------------------ *)
 (* Persistent connections                                             *)
 (* ------------------------------------------------------------------ *)
@@ -344,30 +365,12 @@ let call p f =
             drop_conn p;
             e)
   in
-  let rec attempt i =
-    let outcome = once () in
-    let retry () =
-      if i + 1 >= p.policy.max_attempts then outcome
-      else begin
-        p.sleep (floored_delay outcome (delay_for p.policy p.rng i));
-        attempt (i + 1)
-      end
-    in
-    match outcome with
-    | Ok r
-      when p.follow_primary && redirect_target r <> None
-           && i + 1 < p.policy.max_attempts ->
-        (* reconnect to the advertised primary; counts as an attempt
-           but skips the backoff — the primary is a different host,
-           not a recovering one *)
-        p.redirect <- redirect_target r;
-        drop_conn p;
-        attempt (i + 1)
-    | Ok _ when retryable_outcome outcome -> retry ()
-    | Ok _ -> outcome
-    | Error _ -> retry ()
-  in
-  attempt 0
+  attempts ~policy:p.policy ~rng:p.rng ~sleep:p.sleep
+    ~follow_primary:p.follow_primary
+    ~redirect:(fun target ->
+      p.redirect <- Some target;
+      drop_conn p)
+    once
 
 let with_retry ?(policy = default_policy) ?(seed = 0) ?(sleep = Unix.sleepf)
     ?(follow_primary = false) ?(connect_to = connect_to) ~connect f =
@@ -385,26 +388,9 @@ let with_retry ?(policy = default_policy) ?(seed = 0) ?(sleep = Unix.sleepf)
         Error (Unix.error_message e)
     | t -> Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
   in
-  let rec attempt i =
-    let outcome = once () in
-    let retry () =
-      if i + 1 >= policy.max_attempts then outcome
-      else begin
-        sleep (floored_delay outcome (delay_for policy rng i));
-        attempt (i + 1)
-      end
-    in
-    match outcome with
-    | Ok r
-      when follow_primary && redirect_target r <> None
-           && i + 1 < policy.max_attempts ->
-        redirect := redirect_target r;
-        attempt (i + 1)
-    | Ok _ when retryable_outcome outcome -> retry ()
-    | Ok _ -> outcome
-    | Error _ -> retry ()
-  in
-  attempt 0
+  attempts ~policy ~rng ~sleep ~follow_primary
+    ~redirect:(fun target -> redirect := Some target)
+    once
 
 (* ------------------------------------------------------------------ *)
 (* Replication status                                                 *)

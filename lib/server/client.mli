@@ -1,6 +1,6 @@
 (** A minimal blocking HTTP/1.1 client, just enough to talk to
     {!Daemon}: one keep-alive connection, [Content-Length]-framed
-    responses. Used by the e2e tests, the serve benchmark, and the CI
+    responses. Used by the e2e tests, the benchmarks, and the CI
     smoke script — not a general-purpose client. *)
 
 type t
@@ -39,6 +39,12 @@ val get : t -> string -> (response, string) result
 val post : t -> string -> body:string -> (response, string) result
 
 val close : t -> unit
+
+val write_all : Unix.file_descr -> string -> unit
+(** Write every byte of the string, retrying a write a signal
+    interrupts ([EINTR]) — how both ends of the protocol put bytes on
+    the wire, {!Daemon} included. Other errors raise
+    [Unix.Unix_error]. *)
 
 (** {2 Retries}
 

@@ -101,17 +101,6 @@ let queue_close q =
 (* Connection handling                                                *)
 (* ------------------------------------------------------------------ *)
 
-let write_all fd s =
-  let n = String.length s in
-  let b = Bytes.unsafe_of_string s in
-  let rec go off =
-    if off < n then begin
-      let written = Unix.write fd b off (n - off) in
-      go (off + written)
-    end
-  in
-  go 0
-
 let best_effort f = try f () with _ -> ()
 
 let serve_connection config api_ctx fd =
@@ -144,7 +133,7 @@ let serve_connection config api_ctx fd =
     in
     Buffer.clear out;
     Http.serialize_to out ~request_meth:request.Http.meth ~close response;
-    write_all fd (Buffer.contents out);
+    Client.write_all fd (Buffer.contents out);
     close
   in
   let rec loop () =
@@ -163,7 +152,7 @@ let serve_connection config api_ctx fd =
     | `Error e ->
         (* the connection cannot be re-synced after a framing error *)
         best_effort (fun () ->
-            write_all fd (Http.serialize ~close:true (Api.response_of_parse_error e)))
+            Client.write_all fd (Http.serialize ~close:true (Api.response_of_parse_error e)))
     | `Need_more -> (
         set_timeout ~idle:(Http.buffered parser_ = 0);
         match Unix.read fd chunk 0 (Bytes.length chunk) with
@@ -171,13 +160,14 @@ let serve_connection config api_ctx fd =
         | n ->
             Http.feed parser_ (Bytes.sub_string chunk 0 n);
             loop ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
             (* read timeout: mid-request gets a 408, idle keep-alive
                connections are reaped silently *)
             if Http.buffered parser_ > 0 then begin
               Metrics.reject_timeout metrics;
               best_effort (fun () ->
-                  write_all fd
+                  Client.write_all fd
                     (Http.serialize ~close:true
                        (Api.error_response 408 ~category:"timeout"
                           "timed out reading the request")))
@@ -243,7 +233,14 @@ let accept_loop t listener =
     match Unix.accept ~cloexec:true listener with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
     | exception Unix.Unix_error _ -> ()  (* listener closed: stop *)
-    | fd, _peer -> (
+    | fd, peer -> (
+        (* each response goes out in one write, so Nagle only delays
+           it: its last partial segment would wait for the client's
+           (delayed, up to ~40 ms) ACK of the segments before it *)
+        (match peer with
+        | Unix.ADDR_INET _ ->
+            best_effort (fun () -> Unix.setsockopt fd Unix.TCP_NODELAY true)
+        | Unix.ADDR_UNIX _ -> ());
         match queue_push t.queue fd with
         | `Queued -> loop ()
         | `Closed ->
@@ -253,7 +250,7 @@ let accept_loop t listener =
             Metrics.reject_overload t.api_ctx.Api.metrics;
             best_effort (fun () ->
                 Unix.setsockopt_float fd Unix.SO_SNDTIMEO 1.0;
-                write_all fd (Http.serialize ~close:true Api.overloaded_response));
+                Client.write_all fd (Http.serialize ~close:true Api.overloaded_response));
             best_effort (fun () -> Unix.close fd);
             loop ())
   in

@@ -517,12 +517,14 @@ let abort_rotation t = locked t (fun () -> t.mirror <- None)
 let commit_rotation t =
   locked t (fun () ->
       let module E = (val t.env : Fsenv.S) in
+      (* waiting out an in-flight fsync releases the lock, and a record
+         staged meanwhile is mirrored: take the tail only after it *)
+      quiesce_locked t;
       let tail =
         match t.mirror with
         | Some entries -> List.rev entries
         | None -> invalid_arg "Journal.commit_rotation: no rotation in progress"
       in
-      quiesce_locked t;
       let tmp = t.path ^ ".tmp" in
       let buf = Buffer.create 4096 in
       List.iter (fun (seq, payload) -> Record.encode buf ~seq payload) tail;

@@ -2,6 +2,11 @@ type t = {
   dir : string;
   env : Fsenv.t;
   journal : Journal.t;
+  (* serializes every snapshot writer — compaction (a background one
+     from [begin_rotation] through commit or abort) and upstream
+     snapshot installs: they share [snapshot.tmp], and an install
+     landing inside a rotation would be undone by its commit *)
+  snapshot_lock : Mutex.t;
   mutable compactions : int;
 }
 
@@ -61,7 +66,7 @@ let open_ ?fsync ?group ?(env = Fsenv.real) dir =
       (fun (seq, payload) -> if seq > snapshot_seq then Some payload else None)
       jr.Journal.records
   in
-  ( { dir; env; journal; compactions = 0 },
+  ( { dir; env; journal; snapshot_lock = Mutex.create (); compactions = 0 },
     {
       state;
       entries;
@@ -77,18 +82,15 @@ let ingest t data = Journal.ingest t.journal data
 
 let journal_bytes t = Journal.file_bytes t.journal
 
-(* snapshot write shared by inline and background compaction: durable
-   (tmp → fsync → rename → dir fsync) before the caller is allowed to
-   drop the journal entries it covers *)
-let write_snapshot t ~covers state =
+(* Replace the snapshot with [data] (record frames) durably — tmp →
+   fsync → rename → dir fsync — before the caller is allowed to drop
+   the journal entries it covers. *)
+let write_snapshot t data =
   let module E = (val t.env : Fsenv.S) in
-  let buf = Buffer.create 4096 in
-  Record.encode buf ~seq:covers "";
-  List.iter (fun payload -> Record.encode buf ~seq:covers payload) state;
   let tmp = snapshot_tmp t.dir in
   let fd = E.openfile tmp Fsenv.Trunc in
   (try
-     let b = Buffer.to_bytes buf in
+     let b = Bytes.unsafe_of_string data in
      let rec write_all off len =
        if len > 0 then
          match E.write fd b off len with
@@ -104,6 +106,12 @@ let write_snapshot t ~covers state =
   E.rename tmp (snapshot_file t.dir);
   E.fsync_dir t.dir
 
+let encode_snapshot ~covers state =
+  let buf = Buffer.create 4096 in
+  Record.encode buf ~seq:covers "";
+  List.iter (fun payload -> Record.encode buf ~seq:covers payload) state;
+  Buffer.contents buf
+
 (* Install an upstream snapshot shipped as raw record frames (the
    bytes a reset batch carries: the meta record first, then one state
    payload per record, all at the covered sequence). The bytes are
@@ -118,51 +126,37 @@ let install_snapshot t data =
   | (_ :: _), Record.Clean when valid_end = String.length data -> ()
   | _ -> invalid_arg "Wal.install_snapshot: not a clean run of frames");
   let covers = match records with (seq, _) :: _ -> seq | [] -> assert false in
-  let module E = (val t.env : Fsenv.S) in
-  let tmp = snapshot_tmp t.dir in
-  let fd = E.openfile tmp Fsenv.Trunc in
-  (try
-     let b = Bytes.of_string data in
-     let rec write_all off len =
-       if len > 0 then
-         match E.write fd b off len with
-         | n -> write_all (off + n) (len - n)
-         | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all off len
-     in
-     write_all 0 (Bytes.length b);
-     E.fsync fd;
-     E.close fd
-   with e ->
-     (try E.close fd with _ -> ());
-     raise e);
-  E.rename tmp (snapshot_file t.dir);
-  E.fsync_dir t.dir;
-  Journal.reset t.journal;
-  Journal.bump_seq t.journal covers;
-  t.compactions <- t.compactions + 1;
+  Mutex.protect t.snapshot_lock (fun () ->
+      write_snapshot t data;
+      Journal.reset t.journal;
+      Journal.bump_seq t.journal covers;
+      t.compactions <- t.compactions + 1);
   covers
 
 let compact t ~state =
-  let covers = Int64.pred (Journal.next_seq t.journal) in
-  write_snapshot t ~covers state;
-  (* the snapshot is durable; only now may the journal entries it
-     covers be dropped *)
-  Journal.reset t.journal;
-  t.compactions <- t.compactions + 1
+  Mutex.protect t.snapshot_lock (fun () ->
+      let covers = Int64.pred (Journal.next_seq t.journal) in
+      write_snapshot t (encode_snapshot ~covers state);
+      (* the snapshot is durable; only now may the journal entries it
+         covers be dropped *)
+      Journal.reset t.journal;
+      t.compactions <- t.compactions + 1)
 
 let compact_background t ~state =
-  (* capture [covers] BEFORE the state callback runs: every mutation
-     applied after this point is either in the captured state AND
-     mirrored (benign double-apply, recovery skips by sequence or the
-     mutation vocabulary converges) or only mirrored — never lost *)
-  let covers = Journal.begin_rotation t.journal in
-  match write_snapshot t ~covers (state ()) with
-  | () ->
-      Journal.commit_rotation t.journal;
-      t.compactions <- t.compactions + 1
-  | exception e ->
-      Journal.abort_rotation t.journal;
-      raise e
+  Mutex.protect t.snapshot_lock (fun () ->
+      (* capture [covers] BEFORE the state callback runs: every
+         mutation applied after this point is either in the captured
+         state AND mirrored (benign double-apply, recovery skips by
+         sequence or the mutation vocabulary converges) or only
+         mirrored — never lost *)
+      let covers = Journal.begin_rotation t.journal in
+      match write_snapshot t (encode_snapshot ~covers (state ())) with
+      | () ->
+          Journal.commit_rotation t.journal;
+          t.compactions <- t.compactions + 1
+      | exception e ->
+          Journal.abort_rotation t.journal;
+          raise e)
 
 let flush t = Journal.flush t.journal
 

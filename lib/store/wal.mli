@@ -64,7 +64,9 @@ val install_snapshot : t -> string -> int64
     journal is emptied, and sequence numbering is re-based past the
     snapshot's covered sequence (returned), so the next {!ingest}
     continues contiguously. Raises [Invalid_argument] when the bytes
-    are not a clean run of frames. *)
+    are not a clean run of frames. Waits out a {!compact} or
+    {!compact_background} in progress: the snapshot writers exclude
+    each other. *)
 
 val journal_bytes : t -> int
 (** Current size of the journal file — the compaction trigger input. *)

@@ -30,4 +30,5 @@ let () =
       ("simtest", Test_simtest.suite);
       ("server", Test_server.suite);
       ("cli", Test_cli.suite);
+      ("trend", Test_trend.suite);
     ]

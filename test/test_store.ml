@@ -453,6 +453,58 @@ let test_wal_background_compaction () =
       Alcotest.(check bool) "seq keeps counting" true (Wal.append w "e5" = 5L);
       Wal.close w)
 
+(* A record staged while [commit_rotation] waits out an in-flight
+   group fsync must land in the rotated journal. The wait releases the
+   journal lock; the commit used to take its mirrored tail before it,
+   so such a record went only to the old file the rename replaced —
+   and its writer was still acknowledged. The fsync here blocks until
+   the test releases it. *)
+let test_journal_rotation_commit_after_fsync () =
+  with_temp_dir (fun dir ->
+      let gate = Mutex.create () and changed = Condition.create () in
+      let hold_next = ref false and holding = ref false in
+      let module Held = struct
+        include Store.Fsenv.Real
+
+        let fsync fd =
+          Mutex.protect gate (fun () ->
+              if !hold_next then begin
+                hold_next := false;
+                holding := true;
+                Condition.broadcast changed;
+                while !holding do
+                  Condition.wait changed gate
+                done
+              end);
+          Store.Fsenv.Real.fsync fd
+      end in
+      let path = Filename.concat dir "j.log" in
+      let j, _ = Journal.open_ ~fsync:Journal.Always ~env:(module Held) path in
+      Journal.enable_group j;
+      ignore (Journal.append j "r1");
+      ignore (Journal.begin_rotation j);
+      Mutex.protect gate (fun () -> hold_next := true);
+      let writer = Thread.create (fun () -> ignore (Journal.append j "r2")) () in
+      Mutex.protect gate (fun () ->
+          while not !holding do
+            Condition.wait changed gate
+          done);
+      let committer = Thread.create (fun () -> Journal.commit_rotation j) () in
+      (* let the commit reach its wait on the held fsync *)
+      Thread.delay 0.2;
+      let r3 = Journal.stage j "r3" in
+      Mutex.protect gate (fun () ->
+          holding := false;
+          Condition.broadcast changed);
+      Thread.join writer;
+      Thread.join committer;
+      Journal.await j r3;
+      Journal.close j;
+      let j, r = Journal.open_ path in
+      Alcotest.(check (list string)) "rotated journal holds the tail" [ "r2"; "r3" ]
+        (List.map snd r.Journal.records);
+      Journal.close j)
+
 (* A failing snapshot must abort the rotation and leave the journal
    untouched — including the mirror, so a later rotation succeeds. *)
 let test_wal_background_compaction_abort () =
@@ -469,6 +521,47 @@ let test_wal_background_compaction_abort () =
       let w, r = Wal.open_ dir in
       Alcotest.(check (list string)) "state after retry" [ "s1" ] r.Wal.state;
       Alcotest.(check int) "journal tail empty" 0 (List.length r.Wal.entries);
+      Wal.close w)
+
+(* An upstream snapshot install racing a background compaction must
+   land wholly before or after the rotation, never inside its window:
+   there the rotation's commit overwrote the installed snapshot with
+   the pre-install state and swapped in a pre-install journal tail
+   (and the two writers shared snapshot.tmp, so one could lose its
+   rename with ENOENT). The state callback starts the install and
+   gives it half a second to land inside the window. *)
+let test_wal_install_vs_background_compaction () =
+  with_temp_dir (fun dir ->
+      let w, _ = Wal.open_ dir in
+      ignore (Wal.append w "e1");
+      ignore (Wal.append w "e2");
+      let upstream =
+        let buf = Buffer.create 64 in
+        List.iter (Record.encode buf ~seq:10L) [ ""; "u1"; "u2" ];
+        Buffer.contents buf
+      in
+      let installed = Atomic.make false in
+      let installer = ref None in
+      Wal.compact_background w ~state:(fun () ->
+          installer :=
+            Some
+              (Thread.create
+                 (fun () ->
+                   ignore (Wal.install_snapshot w upstream);
+                   Atomic.set installed true)
+                 ());
+          let deadline = Unix.gettimeofday () +. 0.5 in
+          while (not (Atomic.get installed)) && Unix.gettimeofday () < deadline do
+            Thread.delay 0.005
+          done;
+          [ "s1" ]);
+      Option.iter Thread.join !installer;
+      ignore (Wal.append w "e11");
+      Wal.close w;
+      let w, r = Wal.open_ dir in
+      Alcotest.(check (list string)) "installed state wins" [ "u1"; "u2" ] r.Wal.state;
+      Alcotest.(check (list string)) "tail continues the install" [ "e11" ] r.Wal.entries;
+      Alcotest.(check bool) "snapshot covers 10" true (r.Wal.snapshot_seq = 10L);
       Wal.close w)
 
 let test_wal_fsync_stats () =
@@ -704,6 +797,10 @@ let suite =
       test_wal_background_compaction;
     Alcotest.test_case "wal: background compaction aborts cleanly" `Quick
       test_wal_background_compaction_abort;
+    Alcotest.test_case "journal: rotation commit waits for fsync" `Quick
+      test_journal_rotation_commit_after_fsync;
+    Alcotest.test_case "wal: snapshot install vs background compaction" `Quick
+      test_wal_install_vs_background_compaction;
     Alcotest.test_case "wal: fsync policies + stats" `Quick test_wal_fsync_stats;
     Alcotest.test_case "tail: streams appends in order" `Quick test_tail_stream;
     Alcotest.test_case "tail: bounded windows never split records" `Quick
