@@ -740,6 +740,11 @@ let incr_case ~label ~reps ~a ~b (set, architecture, mapping) =
 (* SCALE: parallel suite evaluation vs number of domains              *)
 (* ------------------------------------------------------------------ *)
 
+(* Pool widths worth timing: Dsim.Pool clamps wider requests to the
+   core count, so they would only re-measure the widest real pool. *)
+let pool_widths () =
+  List.filter (fun jobs -> jobs <= max 1 (Core.Sosae.default_jobs ())) [ 1; 2; 4; 8 ]
+
 let scale_case ~label ~reps (set, architecture, mapping) =
   let project = { Core.Sosae.scenarios = set; architecture; mapping } in
   let ms_per_eval jobs =
@@ -750,7 +755,7 @@ let scale_case ~label ~reps (set, architecture, mapping) =
         done)
     /. float_of_int reps
   in
-  let timings = List.map (fun jobs -> (jobs, ms_per_eval jobs)) [ 1; 2; 4; 8 ] in
+  let timings = List.map (fun jobs -> (jobs, ms_per_eval jobs)) (pool_widths ()) in
   let base = List.assoc 1 timings in
   [
     ("suite", Jsonlight.String label);
@@ -1043,7 +1048,7 @@ let sim_case ~label ~trials campaign =
         ignore (Dsim.Campaign.run ~pool ~trials:(min trials 50) campaign);
         time_ms (fun () -> ignore (Dsim.Campaign.run ~pool ~trials campaign)) /. 1000.0)
   in
-  let timings = List.map (fun jobs -> (jobs, seconds jobs)) [ 1; 2; 4; 8 ] in
+  let timings = List.map (fun jobs -> (jobs, seconds jobs)) (pool_widths ()) in
   let base = List.assoc 1 timings in
   let report = Dsim.Campaign.report ~trials campaign in
   [
@@ -1093,7 +1098,8 @@ type section = {
 
 let cores_note =
   Printf.sprintf
-    "(host reports %d recommended domain(s) — speedup > 1 needs more than one core)\n"
+    "(host reports %d recommended domain(s) — speedup > 1 needs more than one core;\n\
+     pools are clamped to that count, so only widths up to it are timed)\n"
     (Core.Sosae.default_jobs ())
 
 let sections =

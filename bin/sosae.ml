@@ -110,9 +110,11 @@ let jobs_arg =
     value & opt int 0
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Evaluate scenarios on $(docv) parallel domains; $(b,0) (the default) picks \
-           the machine's recommended domain count, $(b,1) forces the sequential path. \
-           Verdicts and their order are identical for every $(docv).")
+          "Run on a pool of $(docv) parallel domains created for this command; $(b,0) \
+           (the default) picks the machine's recommended domain count, $(b,1) forces \
+           the sequential path. $(docv) is clamped to the recommended domain count \
+           (more domains than cores only add handoffs). Results and their order are \
+           identical for every $(docv).")
 
 let resolve_jobs jobs = if jobs <= 0 then Core.Sosae.default_jobs () else jobs
 
@@ -196,9 +198,10 @@ let session_cmd =
           (after.cache_hits - before.cache_hits + (after.replay_hits - before.replay_hits))
       end
     in
+    Dsim.Pool.with_pool ~jobs @@ fun pool ->
     let round label =
       let before = Core.Sosae.Session.stats session in
-      let result = Core.Sosae.Session.evaluate ~jobs session in
+      let result = Core.Sosae.Session.evaluate ~pool session in
       print_round label result before (Core.Sosae.Session.stats session);
       result
     in
@@ -868,7 +871,13 @@ let serve_cmd =
             Printf.eprintf "sosae serve: %s\n" message;
             1
         | Ok replica_of ->
-        if group_window < 0.0 then begin
+        if jobs > 1 then begin
+          Printf.eprintf
+            "sosae serve: --jobs must be 0 or 1: requests walk on the worker thread \
+             serving them\n";
+          1
+        end
+        else if group_window < 0.0 then begin
           Printf.eprintf "sosae serve: --group-commit-window must be >= 0\n";
           1
         end
@@ -884,7 +893,6 @@ let serve_cmd =
                 Server.Daemon.port;
                 host;
                 unix_path;
-                jobs = (if jobs <= 0 then None else Some jobs);
                 workers;
                 queue_capacity = queue;
                 read_timeout = timeout;
@@ -919,6 +927,16 @@ let serve_cmd =
       & opt (some string) None
       & info [ "unix" ] ~docv:"PATH"
           ~doc:"Also listen on a Unix-domain socket at $(docv).")
+  in
+  let jobs =
+    Arg.(
+      value & opt int 1
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:
+            "Kept for compatibility; only $(b,0) and $(b,1) (the default) are \
+             accepted. Each request walks its scenarios and simulation trials on \
+             the worker thread that serves it: the workers share one domain, and \
+             handing a request's walks to other domains cost more than it saved.")
   in
   let workers =
     Arg.(
@@ -1025,7 +1043,7 @@ let serve_cmd =
   in
   let term =
     Term.(
-      const run $ port $ host $ unix_path $ jobs_arg $ workers $ queue $ timeout
+      const run $ port $ host $ unix_path $ jobs $ workers $ queue $ timeout
       $ idle_timeout $ max_requests $ data_dir $ fsync $ group_window
       $ compact_threshold $ replica_of)
   in

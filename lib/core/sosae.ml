@@ -40,10 +40,10 @@ let default_jobs () = Domain.recommended_domain_count ()
    pure function of (scenario, set, architecture, mapping, config) —
    the shared Reach oracle only memoizes, it never changes answers. So
    the suite fans out over a {!Dsim.Pool} of domains: the pool hands
-   out scenario indices, each worker owns a private oracle (Reach
-   memoizes into unsynchronized hashtables, so oracles are never
-   shared across domains), and results land in a slot array indexed by
-   the scenario's suite position. Whichever domain computes a scenario,
+   out scenario indices, each worker owns a private oracle over the
+   one immutable graph (Reach memoizes into unsynchronized hashtables,
+   so oracles are never shared across domains), and results land in a
+   slot array indexed by the scenario's suite position. Whichever domain computes a scenario,
    slot [i] holds the exact verdict the sequential path would have
    produced — output ordering and content are deterministic. *)
 let suite_results ~config ~jobs ~set ~architecture ~mapping scenarios =
@@ -51,9 +51,10 @@ let suite_results ~config ~jobs ~set ~architecture ~mapping scenarios =
   let n = Array.length scenarios in
   let jobs = max 1 (min jobs n) in
   let results = Array.make n None in
+  let graph = Adl.Graph.of_structure architecture in
   Dsim.Pool.with_pool ~jobs (fun pool ->
       Dsim.Pool.run pool ~tasks:n (fun () ->
-          let reach = Adl.Reach.of_structure architecture in
+          let reach = Adl.Reach.create graph in
           fun i ->
             results.(i) <-
               Some
@@ -122,11 +123,17 @@ module Session = struct
      hashing the whole structure on every edit (and comparing digests
      per scenario) dominated the incremental path on small projects —
      a replaced-then-identical architecture is rare enough to leave to
-     the replay check. *)
+     the replay check.
+
+     The session keeps only the (immutable) communication graph; every
+     evaluate call builds its own {!Adl.Reach} oracle over it and drops
+     it on return. After a full evaluate every entry is current, so no
+     later call at the same revision would consult a memo — keeping one
+     for the session's lifetime only held its BFS trees alive. *)
   type t = {
     config : Walkthrough.Engine.config;
     mutable project : project;
-    mutable reach : Adl.Reach.t;
+    mutable graph : Adl.Graph.t;
     mutable revision : int;
     cache : (string, entry) Hashtbl.t;
     mutable checks :
@@ -144,7 +151,7 @@ module Session = struct
     {
       config;
       project;
-      reach = Adl.Reach.of_structure project.architecture;
+      graph = Adl.Graph.of_structure project.architecture;
       revision = 0;
       cache = Hashtbl.create 16;
       checks = None;
@@ -160,8 +167,6 @@ module Session = struct
 
   let stats t = t.stats
 
-  let reach t = t.reach
-
   let revision t = t.revision
 
   let invalidate ?scenario t =
@@ -171,8 +176,8 @@ module Session = struct
         Hashtbl.reset t.cache;
         t.checks <- None
 
-  (* [reach] is the oracle the walk queries — the session's own on the
-     sequential path, a worker-private one on the parallel path. The
+  (* [reach] is the oracle the walk queries — the call's own on the
+     sequential path, a worker-private one on the pooled path. The
      query log (and thus the verdict) is the same either way. *)
   let walk_fresh t reach s =
     let record = Adl.Reach.recorder () in
@@ -189,8 +194,6 @@ module Session = struct
     t.stats <- { t.stats with evaluations = t.stats.evaluations + 1 };
     result
 
-  let evaluate_fresh t s = store_fresh t s (walk_fresh t t.reach s)
-
   (* The verdict of a scenario is a deterministic function of the
      scenario, mapping, configuration, and the answers to the
      reachability queries the walk performs — and the query set itself
@@ -201,7 +204,7 @@ module Session = struct
   (* First phase of [evaluate_one]: serve the verdict from cache when
      the entry is current or its query log replays unchanged; report
      [`Stale] (without evaluating) otherwise. *)
-  let cached_verdict t s =
+  let cached_verdict t reach s =
     let id = s.Scenarioml.Scen.scenario_id in
     match Hashtbl.find_opt t.cache id with
     | Some e when e.e_revision = t.revision ->
@@ -209,7 +212,7 @@ module Session = struct
         `Hit e.e_result
     | Some e ->
         t.stats <- { t.stats with replays = t.stats.replays + 1 };
-        if Adl.Reach.replay t.reach e.e_queries then begin
+        if Adl.Reach.replay reach e.e_queries then begin
           t.stats <- { t.stats with replay_hits = t.stats.replay_hits + 1 };
           Hashtbl.replace t.cache id { e with e_revision = t.revision };
           `Hit e.e_result
@@ -217,11 +220,24 @@ module Session = struct
         else `Stale
     | None -> `Stale
 
-  let evaluate_one t s =
-    match cached_verdict t s with `Hit r -> r | `Stale -> evaluate_fresh t s
+  let evaluate_one t reach s =
+    match cached_verdict t reach s with
+    | `Hit r -> r
+    | `Stale -> store_fresh t s (walk_fresh t reach s)
+
+  let evaluate_scenarios t ids =
+    let reach = Adl.Reach.create t.graph in
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | id :: rest -> (
+          match Scenarioml.Scen.find t.project.scenarios id with
+          | None -> Error id
+          | Some s -> go (evaluate_one t reach s :: acc) rest)
+    in
+    go [] ids
 
   let evaluate_scenario t id =
-    Option.map (evaluate_one t) (Scenarioml.Scen.find t.project.scenarios id)
+    match evaluate_scenarios t [ id ] with Ok [ r ] -> Some r | Ok _ | Error _ -> None
 
   let architecture_checks t =
     match t.checks with
@@ -235,49 +251,42 @@ module Session = struct
         t.checks <- Some (t.revision, checks);
         checks
 
-  (* With [jobs > 1], cache lookups and replays stay on the calling
-     domain (they touch the session's mutable state), and only the
-     scenarios found stale fan out over the domain pool — each worker
-     walks with a private oracle, logs land back in the cache
-     afterwards. Identical results and cache contents to the
-     sequential path. *)
-  let evaluate_many t jobs scenarios =
-    if jobs <= 1 then List.map (evaluate_one t) scenarios
-    else begin
-      let classified =
-        List.map (fun s -> (s, cached_verdict t s)) scenarios
-      in
-      let stale =
-        Array.of_list
-          (List.filter_map
-             (function s, `Stale -> Some s | _, `Hit _ -> None)
-             classified)
-      in
-      let n = Array.length stale in
-      let jobs = max 1 (min jobs n) in
-      let fresh = Array.make n None in
-      if n > 0 then
-        Dsim.Pool.with_pool ~jobs (fun pool ->
-            Dsim.Pool.run pool ~tasks:n (fun () ->
-                let reach = Adl.Reach.of_structure t.project.architecture in
-                fun i -> fresh.(i) <- Some (walk_fresh t reach stale.(i))));
-      let cursor = ref 0 in
-      List.map
-        (fun (s, verdict) ->
-          match verdict with
-          | `Hit r -> r
-          | `Stale ->
-              let walked =
-                match fresh.(!cursor) with Some w -> w | None -> assert false
-              in
-              incr cursor;
-              store_fresh t s walked)
-        classified
-    end
+  (* Without a pool, everything runs on the calling thread against the
+     call's one oracle. With one, cache lookups and replays stay on the
+     calling domain (they touch the session's mutable state), and only
+     the scenarios found stale fan out — every participating domain
+     walks with a private oracle over the shared immutable graph, and
+     logs land back in the cache afterwards. Identical results, cache
+     contents and stats either way. *)
+  let evaluate_many ?pool t scenarios =
+    let reach = Adl.Reach.create t.graph in
+    match pool with
+    | None -> List.map (evaluate_one t reach) scenarios
+    | Some pool ->
+        let classified = List.map (fun s -> (s, cached_verdict t reach s)) scenarios in
+        let stale =
+          Array.of_list
+            (List.filter_map (function s, `Stale -> Some s | _, `Hit _ -> None) classified)
+        in
+        let fresh = Array.make (Array.length stale) None in
+        Dsim.Pool.run pool ~tasks:(Array.length stale) (fun () ->
+            let reach = Adl.Reach.create t.graph in
+            fun i -> fresh.(i) <- Some (walk_fresh t reach stale.(i)));
+        let cursor = ref 0 in
+        List.map
+          (fun (s, verdict) ->
+            match verdict with
+            | `Hit r -> r
+            | `Stale ->
+                let walked =
+                  match fresh.(!cursor) with Some w -> w | None -> assert false
+                in
+                incr cursor;
+                store_fresh t s walked)
+          classified
 
-  let evaluate ?jobs t =
-    let jobs = match jobs with Some j -> j | None -> default_jobs () in
-    let results = evaluate_many t jobs t.project.scenarios.Scenarioml.Scen.scenarios in
+  let evaluate ?pool t =
+    let results = evaluate_many ?pool t t.project.scenarios.Scenarioml.Scen.scenarios in
     let style_violations, coverage_problems = architecture_checks t in
     {
       Walkthrough.Engine.results;
@@ -290,7 +299,7 @@ module Session = struct
 
   let set_architecture t architecture =
     t.project <- { t.project with architecture };
-    t.reach <- Adl.Reach.of_structure architecture;
+    t.graph <- Adl.Graph.of_structure architecture;
     t.revision <- t.revision + 1
 
   (* Pure link removal admits a shortcut stronger than replay. Removing

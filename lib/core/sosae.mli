@@ -42,12 +42,15 @@ val evaluate :
   ?config:Walkthrough.Engine.config -> ?jobs:int -> project -> Walkthrough.Engine.set_result
 (** Walk every scenario of the project through its architecture.
 
-    Scenarios are evaluated on a pool of [jobs] OCaml domains (default
-    {!default_jobs}; [jobs <= 1] runs the plain sequential path). Each
-    worker owns a private {!Adl.Reach} oracle, so no evaluation state
-    is shared across domains; since a scenario's verdict is a pure
-    function of the project and config, the result — content and
-    order — is identical to a sequential run for every [jobs]. *)
+    Scenarios are evaluated on a pool of [jobs] OCaml domains created
+    for this call (default {!default_jobs}, clamped to it as
+    {!Dsim.Pool.create} does; [jobs <= 1] runs the plain sequential
+    path). Each worker owns a private {!Adl.Reach} oracle, so no
+    evaluation state is shared across domains; since a scenario's
+    verdict is a pure function of the project and config, the result —
+    content and order — is identical to a sequential run for every
+    [jobs]. A long-running caller should hold a {!Session} instead: it
+    walks on the calling thread and spawns nothing. *)
 
 val evaluate_suite :
   ?config:Walkthrough.Engine.config ->
@@ -80,14 +83,17 @@ val export_owl : project -> Semweb.Store.t
 
 (** Stateful evaluation sessions over one project.
 
-    A session holds a memoized reachability oracle ({!Adl.Reach}) for
-    the current architecture and a per-scenario verdict cache. Each
-    cached verdict carries the log of reachability queries its walk
-    performed; after an architecture edit ({!Session.apply_diff}), a
-    scenario is re-evaluated only when replaying its log against the
-    new oracle changes some answer — i.e. only when the edit actually
-    touches the communication its walk relied on. Served verdicts are
-    bit-for-bit the ones a fresh evaluation would produce.
+    A session holds the current architecture's communication graph
+    ({!Adl.Graph}) and a per-scenario verdict cache. Each evaluate call
+    builds one memoized reachability oracle ({!Adl.Reach}) over the
+    graph, shared by that call's replays and walks and dropped when it
+    returns. Each cached verdict carries the log of reachability
+    queries its walk performed; after an architecture edit
+    ({!Session.apply_diff}), a scenario is re-evaluated only when
+    replaying its log against the new oracle changes some answer —
+    i.e. only when the edit actually touches the communication its walk
+    relied on. Served verdicts are bit-for-bit the ones a fresh
+    evaluation would produce.
 
     The paper's Fig. 4 experiment in session form: excising the
     Loader–Data Access link re-evaluates "Get the current prices of
@@ -104,9 +110,6 @@ module Session : sig
 
   val config : t -> Walkthrough.Engine.config
 
-  val reach : t -> Adl.Reach.t
-  (** The session's oracle for the current architecture. *)
-
   val revision : t -> int
   (** The session-local architecture revision: 0 at {!create}, bumped
       by every {!apply_diff} and {!set_architecture}. Two reads
@@ -115,19 +118,26 @@ module Session : sig
       the current architecture (the evaluation server caches
       serialized evaluate responses against it). *)
 
-  val evaluate : ?jobs:int -> t -> Walkthrough.Engine.set_result
+  val evaluate : ?pool:Dsim.Pool.t -> t -> Walkthrough.Engine.set_result
   (** Evaluate every scenario, serving unchanged verdicts from cache.
-      Equal to {!val:evaluate} on the session's current project. The
-      [jobs] default is {!default_jobs} — the same default as
-      {!val:evaluate}. With [jobs > 1] the scenarios that do need a
-      fresh walk — cache misses and failed replays — run on a domain
-      pool, each worker with a private oracle; results, cache contents,
-      and stats match the sequential path exactly, so the default is
-      safe for every caller. [jobs <= 1] forces the plain sequential
-      path. *)
+      Equal to {!val:evaluate} on the session's current project.
+      Without [pool], everything runs sequentially on the calling
+      thread. With one, the scenarios that do need a fresh walk —
+      cache misses and failed replays — fan out over the pool, each
+      participating domain with a private oracle; results, cache contents,
+      and stats match the sequential path exactly. The pool serves one
+      caller at a time ({!Dsim.Pool.run} calls must not overlap). *)
 
   val evaluate_scenario : t -> string -> Walkthrough.Verdict.scenario_result option
-  (** One scenario by id, through the cache; [None] when unknown. *)
+  (** One scenario by id, through the cache, on the calling thread;
+      [None] when unknown. *)
+
+  val evaluate_scenarios :
+    t -> string list -> (Walkthrough.Verdict.scenario_result list, string) result
+  (** {!evaluate_scenario} for each id in order, sharing one oracle, so
+      the scenarios of a sub-suite do not each redo the reachability
+      searches an edit invalidated. [Error id] names the first unknown
+      id; the ids before it have been evaluated (and cached). *)
 
   val apply_diff : t -> Adl.Diff.op list -> unit
   (** Apply evolution operations to the session's architecture. Cached
@@ -160,7 +170,7 @@ module Session : sig
   val exclusively : t -> (unit -> 'a) -> 'a
   (** Run the callback holding the session's private lock. Session
       operations are not internally synchronized — the verdict cache
-      and the oracle are plain mutable state — so concurrent users
+      and the architecture are plain mutable state — so concurrent users
       (the evaluation server's registry, any multi-threaded embedding)
       must funnel every operation on a shared session through
       [exclusively]. The lock is per-session: operations on distinct

@@ -57,8 +57,20 @@ let helper t =
   in
   loop ()
 
+let shutdown t =
+  Mutex.lock t.lock;
+  t.stop <- true;
+  Condition.broadcast t.work;
+  Mutex.unlock t.lock;
+  List.iter Domain.join t.domains;
+  t.domains <- []
+
+(* More domains than cores only adds handoffs (and the runtime caps the
+   domain count), so [jobs] is clamped to the recommended count. A
+   spawn that still fails must not strand the helpers already parked:
+   they are shut down before the exception escapes. *)
 let create ~jobs =
-  let size = max 1 jobs in
+  let size = max 1 (min jobs (Domain.recommended_domain_count ())) in
   let t =
     {
       lock = Mutex.create ();
@@ -71,7 +83,13 @@ let create ~jobs =
       size;
     }
   in
-  t.domains <- List.init (size - 1) (fun _ -> Domain.spawn (fun () -> helper t));
+  for _ = 2 to size do
+    match Domain.spawn (fun () -> helper t) with
+    | d -> t.domains <- d :: t.domains
+    | exception exn ->
+        shutdown t;
+        raise exn
+  done;
   t
 
 let run t ~tasks make_body =
@@ -108,14 +126,6 @@ let run t ~tasks make_body =
       | Some exn, _ | None, Some exn -> raise exn
       | None, None -> ()
     end
-
-let shutdown t =
-  Mutex.lock t.lock;
-  t.stop <- true;
-  Condition.broadcast t.work;
-  Mutex.unlock t.lock;
-  List.iter Domain.join t.domains;
-  t.domains <- []
 
 let with_pool ~jobs f =
   let t = create ~jobs in

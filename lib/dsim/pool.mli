@@ -4,7 +4,7 @@
     The pool is created once ([jobs - 1] helper domains plus the
     caller), then handed any number of batches; helpers sleep between
     batches, so amortizing domain spawn cost over repeated sweeps (a
-    simulation campaign, a benchmark's batches, a server's requests).
+    simulation campaign, a benchmark's batches).
 
     A batch is a half-open index range [0, tasks): an atomic counter
     hands out indices, so work distribution is dynamic but — as long as
@@ -16,10 +16,14 @@
 type t
 
 val create : jobs:int -> t
-(** Spawn a pool of [max 1 jobs] domains (the caller counts as one; a
-    1-job pool spawns nothing and [run]s inline). *)
+(** Spawn a pool of [jobs] domains (the caller counts as one), clamped
+    to [1 .. Domain.recommended_domain_count ()]: more domains than
+    cores only add handoffs. A 1-domain pool spawns nothing and [run]s
+    inline. If a spawn fails, the helpers already spawned are shut
+    down before the exception is re-raised. *)
 
 val size : t -> int
+(** The clamped domain count, caller included. *)
 
 val run : t -> tasks:int -> (unit -> int -> unit) -> unit
 (** [run pool ~tasks make_body] processes indices [0 .. tasks - 1].
@@ -33,4 +37,5 @@ val shutdown : t -> unit
 (** Terminate and join the helper domains. Idempotent. *)
 
 val with_pool : jobs:int -> (t -> 'a) -> 'a
-(** [create], run [f], always [shutdown]. *)
+(** [create], run [f], always [shutdown]. For one-shot callers (the
+    CLI, benchmarks, tests); the evaluation server creates no pool. *)

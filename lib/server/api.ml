@@ -17,9 +17,9 @@ type ctx = {
   mutable role : role;
 }
 
-let make_ctx ?jobs ?persist () =
+let make_ctx ?persist () =
   {
-    registry = Registry.create ?jobs ?persist ();
+    registry = Registry.create ?persist ();
     metrics = Metrics.create ();
     writers = { pool = Queue.create (); pool_lock = Mutex.create () };
     role = Primary;
@@ -386,14 +386,14 @@ type eval_outcome =
    the registry against {!Core.Sosae.Session.revision} and spliced
    verbatim into later responses. Same revision means same architecture
    means bit-identical verdicts, so the splice is exact. *)
-let evaluate_once ctx ~id ~jobs session json =
+let evaluate_once ctx ~id session json =
   match parse_sub_suite json with
   | None ->
       let revision = Core.Sosae.Session.revision session in
       let cached = Registry.cached_response ctx.registry id ~session ~revision in
       let result, re_evaluated, served_from_cache =
         bracket_stats session (fun () ->
-            Core.Sosae.Session.evaluate ~jobs session)
+            Core.Sosae.Session.evaluate session)
       in
       let etag, body =
         match cached with
@@ -408,14 +408,11 @@ let evaluate_once ctx ~id ~jobs session json =
   | Some scenario_ids ->
       let results, re_evaluated, served_from_cache =
         bracket_stats session (fun () ->
-            List.map
-              (fun sid ->
-                match Core.Sosae.Session.evaluate_scenario session sid with
-                | Some r -> Walkthrough.Report.json_of_scenario_result r
-                | None ->
-                    reply_error 404 ~category:"not_found"
-                      (Printf.sprintf "no scenario %S in session %S" sid id))
-              scenario_ids)
+            match Core.Sosae.Session.evaluate_scenarios session scenario_ids with
+            | Ok results -> List.map Walkthrough.Report.json_of_scenario_result results
+            | Error sid ->
+                reply_error 404 ~category:"not_found"
+                  (Printf.sprintf "no scenario %S in session %S" sid id))
       in
       Sub_suite { results; re_evaluated; served_from_cache }
 
@@ -443,9 +440,8 @@ let write_outcome w outcome =
 let evaluate ctx (request : Http.request) params =
   let id = Router.param params "id" in
   let json = parse_body request in
-  let jobs = Registry.jobs ctx.registry in
   with_session ctx id (fun session ->
-      match evaluate_once ctx ~id ~jobs session json with
+      match evaluate_once ctx ~id session json with
       | Full_suite { etag; _ }
         when Http.if_none_match_matches request ~etag ->
           Http.response ~headers:[ ("ETag", etag) ] 304 ""
@@ -484,10 +480,9 @@ let evaluate_batch ctx (request : Http.request) params =
   if List.length suites > 1024 then
     reply_error 400 ~category:"bad_request"
       "at most 1024 suites per batch request";
-  let jobs = Registry.jobs ctx.registry in
   with_session ctx id (fun session ->
       let outcomes =
-        List.map (fun body -> evaluate_once ctx ~id ~jobs session body) suites
+        List.map (fun body -> evaluate_once ctx ~id session body) suites
       in
       with_writer ctx (fun w ->
           Jsonlight.Writer.raw w "{\"responses\":[";
@@ -838,10 +833,11 @@ let parse_stimuli json =
 (* POST /sessions/:id/simulate — a Monte-Carlo dependability campaign
    over the session's *current* architecture (so diff-then-simulate
    measures the edited system). The behavioral bundle, stimuli, goal,
-   and fault windows come from the request body; trials fan out on a
-   domain pool sized like evaluation ([Registry.jobs]) unless the body
-   says otherwise. Responses are deterministic for a given seed —
-   timing is reported separately in "elapsed_ms". *)
+   and fault windows come from the request body; trials run on the
+   serving thread. A body's "jobs" (>= 1) is accepted for
+   compatibility and spawns nothing: responses are deterministic for a
+   given seed and identical for every "jobs" — timing is reported
+   separately in "elapsed_ms". *)
 let simulate ctx (request : Http.request) params =
   let id = Router.param params "id" in
   let json = parse_body request in
@@ -896,11 +892,8 @@ let simulate ctx (request : Http.request) params =
       drop_probability = optional_number json "loss" ~default:0.0;
     }
   in
-  let jobs =
-    match optional_int json "jobs" ~default:(Registry.jobs ctx.registry) with
-    | j when j >= 1 -> j
-    | _ -> reply_error 400 ~category:"bad_request" "\"jobs\" must be >= 1"
-  in
+  if optional_int json "jobs" ~default:1 < 1 then
+    reply_error 400 ~category:"bad_request" "\"jobs\" must be >= 1";
   with_session ctx id (fun session ->
       let architecture =
         (Core.Sosae.Session.project session).Core.Sosae.architecture
@@ -910,7 +903,7 @@ let simulate ctx (request : Http.request) params =
           ~stimuli ~goal ()
       in
       let started = Unix.gettimeofday () in
-      let report = Dsim.Campaign.report ~jobs ~seed ~trials campaign in
+      let report = Dsim.Campaign.report ~seed ~trials campaign in
       let elapsed = Unix.gettimeofday () -. started in
       json_reply ctx
         (Jsonlight.Obj

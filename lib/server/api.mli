@@ -54,6 +54,10 @@
     - [POST /sessions/:id/diff/preview] — expand and validate the same
       body without applying anything; answers the expanded op list.
       Served by replicas (it is a read).
+    - [POST /sessions/:id/simulate] — a Monte-Carlo campaign over the
+      session's current architecture (behavior bundle, stimuli, goal,
+      faults, trials, seed in the body). Trials run on the serving
+      thread; a ["jobs"] field (>= 1) is accepted and changes nothing.
     - [DELETE /sessions/:id] — drop a session.
     - [GET /replication] — role, primary address (replicas), applied
       and covered sequence numbers, lag.
@@ -79,7 +83,7 @@ type ctx = {
           by a promotion *)
 }
 
-val make_ctx : ?jobs:int -> ?persist:Persist.t -> unit -> ctx
+val make_ctx : ?persist:Persist.t -> unit -> ctx
 (** [persist] makes every registry mutation durable (see {!Registry});
     the caller replays recovered mutations with {!Registry.recover}
     before serving. The role starts as [Primary]. *)

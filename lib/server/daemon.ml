@@ -6,7 +6,6 @@ type config = {
   port : int;
   host : string;
   unix_path : string option;
-  jobs : int option;
   workers : int;
   queue_capacity : int;
   read_timeout : float;
@@ -28,7 +27,6 @@ let default_config =
     port = 8080;
     host = "127.0.0.1";
     unix_path = None;
-    jobs = None;
     workers = 4;
     queue_capacity = 64;
     read_timeout = 10.0;
@@ -301,7 +299,7 @@ let start ?(config = default_config) () =
           ~compact_bytes:config.compact_threshold dir)
       config.data_dir
   in
-  let api_ctx = Api.make_ctx ?jobs:config.jobs ?persist:(Option.map fst persist) () in
+  let api_ctx = Api.make_ctx ?persist:(Option.map fst persist) () in
   (match persist with
   | None -> ()
   | Some (p, (recovery : Persist.recovery)) ->

@@ -3,9 +3,10 @@
 
     Concurrency model: one accept thread per listener pushes connections
     into a bounded queue drained by a fixed pool of worker threads.
-    Workers do blocking socket IO; the CPU-parallel part — walking
-    scenarios — happens on {!Core.Sosae.Session.evaluate}'s domain pool
-    inside the request. When the queue is full, the accept thread writes
+    Workers do blocking socket IO and walk scenarios and simulation
+    trials on their own thread: every worker is a systhread of the main
+    domain, and spawning a domain per request cost more than it saved.
+    When the queue is full, the accept thread writes
     a best-effort 429 and closes the connection instead of queueing it
     (bounded memory, fast failure).
 
@@ -31,8 +32,6 @@ type config = {
   port : int;  (** 0 picks an ephemeral port — see {!port} *)
   host : string;  (** bind address, default ["127.0.0.1"] *)
   unix_path : string option;  (** additional Unix-domain listener *)
-  jobs : int option;  (** domain-pool width per evaluation;
-                          [None] = {!Core.Sosae.default_jobs} *)
   workers : int;  (** worker-thread pool size *)
   queue_capacity : int;  (** accepted-but-unserved connection bound *)
   read_timeout : float;  (** seconds, while a request is in flight *)

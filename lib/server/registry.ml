@@ -3,7 +3,6 @@ type cache_entry = { c_revision : int; c_etag : string; c_body : string }
 type t = {
   lock : Mutex.t;
   sessions : (string, Core.Sosae.Session.t) Hashtbl.t;
-  jobs : int;
   (* [mu] serializes mutations (create/diff/remove) end to end — apply
      in memory, then journal — so journal order always equals apply
      order. Reads and evaluations never take it. Lock order:
@@ -32,13 +31,11 @@ type t = {
   mutable background_compaction : bool;
 }
 
-let create ?jobs ?persist () =
-  let jobs = match jobs with Some j -> j | None -> Core.Sosae.default_jobs () in
+let create ?persist () =
   let rng = Random.State.make_self_init () in
   {
     lock = Mutex.create ();
     sessions = Hashtbl.create 8;
-    jobs;
     mu = Mutex.create ();
     persist;
     cache_lock = Mutex.create ();
@@ -107,7 +104,7 @@ let cache_response t id ~session ~revision ~body =
                   { c_revision = revision; c_etag = etag; c_body = body };
               etag))
 
-let jobs t = t.jobs
+let jobs _ = 1
 
 let persist t = t.persist
 

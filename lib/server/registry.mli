@@ -18,14 +18,16 @@
 
 type t
 
-val create : ?jobs:int -> ?persist:Persist.t -> unit -> t
-(** [jobs] is the domain-pool width handed to every
-    [Session.evaluate] the server runs (default
-    {!Core.Sosae.default_jobs}). [persist], when given, makes every
-    mutation durable; the registry still starts empty — feed
-    {!recover} the mutations {!Persist.open_} returned. *)
+val create : ?persist:Persist.t -> unit -> t
+(** [persist], when given, makes every mutation durable; the registry
+    still starts empty — feed {!recover} the mutations {!Persist.open_}
+    returned. *)
 
 val jobs : t -> int
+(** The domains a request's evaluation or campaign runs on: always [1].
+    Requests walk and simulate on the thread that serves them — a
+    domain handoff per request cost more than it saved (DESIGN.md §7).
+    For callers that size work the way the server does. *)
 
 val persist : t -> Persist.t option
 

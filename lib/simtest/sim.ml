@@ -41,7 +41,7 @@ let open_raw ~env ~group ~dir =
     Server.Persist.open_ ~fsync:Store.Journal.Always ~group ~compact_bytes:1
       ~env:(Env.fs env) dir
   in
-  let registry = Server.Registry.create ~jobs:1 ~persist () in
+  let registry = Server.Registry.create ~persist () in
   (* compaction only when an op asks for it, so rotation points are
      chosen by the generator, not by journal size *)
   Server.Registry.set_background_compaction registry true;
@@ -69,12 +69,12 @@ let create () =
     persist;
     registry;
     model = Model.create ();
-    replica = Server.Registry.create ~jobs:1 ();
+    replica = Server.Registry.create ();
     replica_applied = 0L;
     hop_persist;
     hop;
     hop_applied = 0L;
-    leaf = Server.Registry.create ~jobs:1 ();
+    leaf = Server.Registry.create ();
     leaf_applied = 0L;
     poisoned = false;
     diff_counter = 0;
@@ -430,7 +430,7 @@ let run_eval t slot =
   let real =
     Server.Registry.with_session t.registry id (fun session ->
         Walkthrough.Report.set_result_to_json
-          (Core.Sosae.Session.evaluate ~jobs:1 session))
+          (Core.Sosae.Session.evaluate session))
   in
   match (Model.find t.model id, real) with
   | None, Error `Not_found -> ()

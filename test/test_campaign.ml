@@ -247,6 +247,22 @@ let test_pool_propagates_exceptions () =
       Dsim.Pool.run pool ~tasks:3 (fun () -> fun _ -> incr ok);
       Alcotest.(check bool) "pool still usable" true (!ok >= 1))
 
+(* jobs beyond the core count clamp instead of spawning (or failing to
+   spawn) domains; a pool asked for 200 leaves the process able to
+   create and use the next one. *)
+let test_pool_size_clamp () =
+  let cores = Domain.recommended_domain_count () in
+  let size jobs = Dsim.Pool.with_pool ~jobs Dsim.Pool.size in
+  Alcotest.(check int) "jobs:200 clamps to the core count" cores (size 200);
+  Alcotest.(check int) "jobs:0 is one domain" 1 (size 0);
+  Alcotest.(check int) "negative jobs is one domain" 1 (size (-3));
+  Alcotest.(check int) "jobs:1 is one domain" 1 (size 1);
+  Dsim.Pool.with_pool ~jobs:2 (fun pool ->
+      let hits = Array.make 64 0 in
+      Dsim.Pool.run pool ~tasks:64 (fun () -> fun i -> hits.(i) <- hits.(i) + 1);
+      Alcotest.(check bool) "a later pool still works" true
+        (Array.for_all (Int.equal 1) hits))
+
 let test_run_fold_order () =
   let c = campaign `Crash in
   let indices =
@@ -274,5 +290,6 @@ let suite =
     Alcotest.test_case "pool covers every task once" `Quick test_pool_runs_all_tasks;
     Alcotest.test_case "pool propagates worker exceptions" `Quick
       test_pool_propagates_exceptions;
+    Alcotest.test_case "pool width clamps to the core count" `Quick test_pool_size_clamp;
     Alcotest.test_case "run_fold aggregates in trial order" `Quick test_run_fold_order;
   ]

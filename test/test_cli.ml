@@ -194,6 +194,12 @@ let test_simulate_reproducible () =
   run [ "simulate"; "crash"; "--trials"; "20" ];
   Testutil.check_contains "text report" (last_output ()) "95% CI"
 
+(* The daemon walks every request on its serving thread; a pool width
+   on `serve` is refused before anything binds, not silently ignored. *)
+let test_serve_rejects_jobs () =
+  run ~expect:1 [ "serve"; "--port"; "0"; "--jobs"; "2" ];
+  Testutil.check_contains "reason" (last_output ()) "--jobs must be 0 or 1"
+
 let suite =
   [
     Alcotest.test_case "save-demo + validate" `Quick test_save_demo_and_validate;
@@ -209,4 +215,5 @@ let suite =
     Alcotest.test_case "prose and demo" `Quick test_prose;
     Alcotest.test_case "simulate is bit-for-bit reproducible" `Quick
       test_simulate_reproducible;
+    Alcotest.test_case "serve rejects --jobs above 1" `Quick test_serve_rejects_jobs;
   ]

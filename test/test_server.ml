@@ -369,6 +369,11 @@ let create_body ?(strings = artifact_strings) id =
     (json_escape id) (json_escape scenarios) (json_escape architecture)
     (json_escape mapping)
 
+(* The in-process reference for a daemon's evaluate, on a pool of its
+   own: verdicts must not depend on where the walks ran. *)
+let pooled_evaluate session =
+  Dsim.Pool.with_pool ~jobs:2 (fun pool -> Core.Sosae.Session.evaluate ~pool session)
+
 let with_daemon ?(config = Server.Daemon.default_config) f =
   let t =
     Server.Daemon.start ~config:{ config with Server.Daemon.port = 0 } ()
@@ -441,7 +446,7 @@ let test_e2e_fig4_bit_identical () =
       let expected_json () =
         Jsonlight.to_string
           (Walkthrough.Report.json_of_set_result
-             (Core.Sosae.Session.evaluate ~jobs:2 expected))
+             (pooled_evaluate expected))
       in
       with_client t (fun c ->
           let r = ok (Server.Client.post c "/sessions" ~body:(create_body "pims")) in
@@ -530,7 +535,7 @@ let test_e2e_concurrent_clients () =
       let expected =
         Jsonlight.to_string
           (Walkthrough.Report.json_of_set_result
-             (Core.Sosae.Session.evaluate ~jobs:2 (Core.Sosae.Session.create project)))
+             (pooled_evaluate (Core.Sosae.Session.create project)))
       in
       let n = 8 in
       let results = Array.make n (Error "unset") in
@@ -650,7 +655,7 @@ let test_e2e_conditional () =
    response cache, must not be served the new incarnation's bytes,
    and its etags must never validate again. *)
 let test_registry_incarnation () =
-  let registry = Server.Registry.create ~jobs:1 () in
+  let registry = Server.Registry.create () in
   let add () =
     match Server.Registry.add registry ~id:"s" project with
     | Ok () -> ()
@@ -795,29 +800,35 @@ let test_client_persistent () =
               r.Server.Client.status
           done))
 
+let price_feed_behavior =
+  lazy
+    (Statechart.Bundle.to_string
+       (Statechart.Bundle.make ~id:"price-feed" Casestudies.Campaigns.price_feed_charts))
+
+(* A simulate body mirroring Casestudies.Campaigns.pims_price_feed
+   ~loss:0.05 at seed 9 over 120 trials. *)
+let simulate_body ~jobs =
+  Printf.sprintf
+    {|{"behavior":%s,
+       "stimuli":[{"component":"master-controller","trigger":"user-initiates"}],
+       "goal":{"component":"remote-price-db","payload":"fetch-prices"},
+       "faults":[{"kind":"crash","node":"remote-price-db",
+                  "at":{"lo":0,"hi":3},"downtime":{"lo":1,"hi":5}}],
+       "trials":120,"seed":9,"horizon":10,"jitter":0.25,"loss":0.05,
+       "jobs":%d}|}
+    (json_escape (Lazy.force price_feed_behavior))
+    jobs
+
 let test_e2e_simulate () =
   with_daemon (fun t ->
       with_client t (fun c ->
           let r = ok (Server.Client.post c "/sessions" ~body:(create_body "sim")) in
           Alcotest.(check int) "created" 201 r.Server.Client.status;
-          let behavior =
-            Statechart.Bundle.to_string
-              (Statechart.Bundle.make ~id:"price-feed"
-                 Casestudies.Campaigns.price_feed_charts)
-          in
-          let body ~jobs =
-            Printf.sprintf
-              {|{"behavior":%s,
-                 "stimuli":[{"component":"master-controller","trigger":"user-initiates"}],
-                 "goal":{"component":"remote-price-db","payload":"fetch-prices"},
-                 "faults":[{"kind":"crash","node":"remote-price-db",
-                            "at":{"lo":0,"hi":3},"downtime":{"lo":1,"hi":5}}],
-                 "trials":120,"seed":9,"horizon":10,"jitter":0.25,"loss":0.05,
-                 "jobs":%d}|}
-              (json_escape behavior) jobs
-          in
+          let behavior = Lazy.force price_feed_behavior in
           let simulate ~jobs =
-            let r = ok (Server.Client.post c "/sessions/sim/simulate" ~body:(body ~jobs)) in
+            let r =
+              ok (Server.Client.post c "/sessions/sim/simulate" ~body:(simulate_body ~jobs))
+            in
             Alcotest.(check int) "simulate 200" 200 r.Server.Client.status;
             let json = body_json r in
             Alcotest.(check (option int))
@@ -833,7 +844,7 @@ let test_e2e_simulate () =
           in
           Alcotest.(check string) "wire report = in-process campaign" expected
             (simulate ~jobs:2);
-          Alcotest.(check string) "jobs fan-out does not change the report" expected
+          Alcotest.(check string) "a body's jobs does not change the report" expected
             (simulate ~jobs:4);
           (* request validation *)
           expect_error 400 "xml_error"
@@ -846,7 +857,44 @@ let test_e2e_simulate () =
                (Server.Client.post c "/sessions/sim/simulate"
                   ~body:(Printf.sprintf {|{"behavior":%s}|} (json_escape behavior))));
           expect_error 404 "not_found"
-            (ok (Server.Client.post c "/sessions/ghost/simulate" ~body:(body ~jobs:1)))))
+            (ok (Server.Client.post c "/sessions/ghost/simulate" ~body:(simulate_body ~jobs:1)))))
+
+(* A "jobs" far beyond the core count once left parked helper domains
+   behind and made every later pool creation in the process fail. Now a
+   simulate body asking for 200 spawns nothing, and the evaluates and
+   simulates after it answer exactly what the sequential library does. *)
+let test_e2e_jobs_beyond_cores () =
+  let expected_result =
+    Jsonlight.to_string
+      (Walkthrough.Report.json_of_set_result (Core.Sosae.evaluate ~jobs:1 project))
+  in
+  let expected_report =
+    Jsonlight.to_string
+      (Dsim.Stats.to_json
+         (Dsim.Campaign.report ~jobs:1 ~seed:9 ~trials:120
+            (Casestudies.Campaigns.pims_price_feed ~loss:0.05 ())))
+  in
+  with_daemon (fun t ->
+      with_client t (fun c ->
+          let post path body =
+            let r = ok (Server.Client.post c path ~body) in
+            Alcotest.(check bool) (path ^ " succeeds") true
+              (r.Server.Client.status / 100 = 2);
+            body_json r
+          in
+          let simulate jobs =
+            post "/sessions/pims/simulate" (simulate_body ~jobs)
+            |> member_exn "report" |> Jsonlight.to_string
+          in
+          ignore (post "/sessions" (create_body "pims"));
+          Alcotest.(check string) "simulate with jobs:200" expected_report (simulate 200);
+          Alcotest.(check string) "evaluate afterwards" expected_result
+            (post "/sessions/pims/evaluate" "{}" |> member_exn "result"
+           |> Jsonlight.to_string);
+          Alcotest.(check string) "simulate with jobs:1 afterwards" expected_report
+            (simulate 1);
+          Alcotest.(check string) "simulate with jobs:2 afterwards" expected_report
+            (simulate 2)))
 
 let test_e2e_robustness () =
   let config =
@@ -1703,7 +1751,7 @@ let dump_registry registry =
           Server.Registry.with_session registry id (fun s ->
               Jsonlight.to_string
                 (Walkthrough.Report.json_of_set_result
-                   (Core.Sosae.Session.evaluate ~jobs:2 s)))
+                   (pooled_evaluate s)))
         with
         | Ok verdicts -> verdicts
         | Error `Not_found -> "<gone>" ))
@@ -2241,6 +2289,8 @@ let suite =
     Alcotest.test_case "client: persistent handle reconnects" `Quick
       test_client_persistent;
     Alcotest.test_case "e2e: simulate campaign over HTTP" `Quick test_e2e_simulate;
+    Alcotest.test_case "e2e: jobs beyond the core count" `Quick
+      test_e2e_jobs_beyond_cores;
     Alcotest.test_case "e2e: robustness (413, 408, garbage)" `Quick test_e2e_robustness;
     Alcotest.test_case "e2e: unix-domain socket" `Quick test_e2e_unix_socket;
     Alcotest.test_case "daemon: stop is idempotent" `Quick test_stop_idempotent;

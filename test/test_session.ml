@@ -106,6 +106,35 @@ let test_evaluate_scenario () =
   | None -> Alcotest.fail "get-share-prices not found");
   Alcotest.(check bool) "unknown id" true (Session.evaluate_scenario s "nope" = None)
 
+(* A sub-suite shares one oracle; after the Fig. 4 excision it answers
+   exactly what one evaluate_scenario per id does, stats included, and
+   stops at the first unknown id. *)
+let test_evaluate_scenarios () =
+  let ids = [ "get-share-prices"; "create-portfolio"; "save-session" ] in
+  let edited () =
+    let s = Session.create (pims_project ()) in
+    ignore (Session.evaluate s);
+    Session.apply_diff s
+      (loader_da_ops (Session.project s).Core.Sosae.architecture);
+    s
+  in
+  let one_by_one = edited () and shared = edited () in
+  let expected = List.filter_map (Session.evaluate_scenario one_by_one) ids in
+  Alcotest.(check bool) "same verdicts" true
+    (Session.evaluate_scenarios shared ids = Ok expected);
+  Alcotest.(check bool) "same stats" true
+    (Session.stats shared = Session.stats one_by_one);
+  let fresh = edited () in
+  let looked_up () =
+    let st = Session.stats fresh in
+    st.Session.cache_hits + st.Session.replays
+  in
+  let before = looked_up () in
+  Alcotest.(check bool) "first unknown id" true
+    (Session.evaluate_scenarios fresh [ "get-share-prices"; "nope"; "save-session" ]
+    = Error "nope");
+  Alcotest.(check int) "only the id before it was looked up" 1 (looked_up () - before)
+
 (* ---------------- equivalence under random edit sequences ---------- *)
 
 let gen_arch_spec =
@@ -148,6 +177,17 @@ let gen_edit =
         map (fun s -> Retarget s) gen_arch_spec;
         map (fun i -> Drop_link i) (int_range 0 30);
       ])
+
+(* The diff an edit makes to [current]; [None] when a link drop finds
+   no link. *)
+let edit_ops current = function
+  | Retarget spec' -> Some (Adl.Diff.diff current (build_arch spec'))
+  | Drop_link i -> (
+      match current.Adl.Structure.links with
+      | [] -> None
+      | links ->
+          let l = List.nth links (i mod List.length links) in
+          Some [ Adl.Diff.Remove_link l.Adl.Structure.link_id ])
 
 let event_types = 5
 
@@ -213,16 +253,7 @@ let prop_session_equals_fresh =
       && List.for_all
            (fun edit ->
              let current = (Session.project session).Core.Sosae.architecture in
-             (match edit with
-             | Retarget spec' ->
-                 Session.apply_diff session (Adl.Diff.diff current (build_arch spec'))
-             | Drop_link i -> (
-                 match current.Adl.Structure.links with
-                 | [] -> ()
-                 | links ->
-                     let l = List.nth links (i mod List.length links) in
-                     Session.apply_diff session
-                       [ Adl.Diff.Remove_link l.Adl.Structure.link_id ]));
+             Option.iter (Session.apply_diff session) (edit_ops current edit);
              agrees ())
            edits)
 
@@ -251,16 +282,50 @@ let prop_session_parallel_equals_sequential =
         (list_size (int_range 1 4) (list_size (int_range 1 5) (int_range 0 (event_types - 1))))
         gen_arch_spec (int_range 2 5))
     (fun (spec, scenario_specs, spec', jobs) ->
-      let run jobs =
+      let run ?pool () =
         let project = build_project spec scenario_specs in
         let session = Session.create project in
-        let first = Session.evaluate ~jobs session in
+        let first = Session.evaluate ?pool session in
         (* an edit leaves a mix of cached, replayable and stale entries *)
         Session.set_architecture session (build_arch spec');
-        let second = Session.evaluate ~jobs session in
+        let second = Session.evaluate ?pool session in
         (first, second, Session.stats session)
       in
-      run jobs = run 1)
+      Dsim.Pool.with_pool ~jobs (fun pool -> run ~pool ()) = run ())
+
+(* Over random edit sequences, three routes to the verdicts agree after
+   every edit: a session evaluating on the calling thread, a twin
+   session on a shared pool, and a one-shot sequential evaluate of the
+   current project. The two sessions' cumulative stats agree too. *)
+let prop_session_pool_equals_sequential_after_edits =
+  QCheck2.Test.make
+    ~name:"session: sequential = pooled = one-shot evaluate after edits, stats included"
+    ~count:40
+    QCheck2.Gen.(
+      tup3 gen_arch_spec
+        (list_size (int_range 1 4) (list_size (int_range 1 5) (int_range 0 (event_types - 1))))
+        (list_size (int_range 1 4) gen_edit))
+    (fun (spec, scenario_specs, edits) ->
+      let project = build_project spec scenario_specs in
+      let sequential = Session.create project and pooled = Session.create project in
+      Dsim.Pool.with_pool ~jobs:2 (fun pool ->
+          let agrees () =
+            let r = Session.evaluate sequential in
+            r = Session.evaluate ~pool pooled
+            && r = Core.Sosae.evaluate ~jobs:1 (Session.project sequential)
+            && Session.stats sequential = Session.stats pooled
+          in
+          agrees ()
+          && List.for_all
+               (fun edit ->
+                 let current = (Session.project sequential).Core.Sosae.architecture in
+                 Option.iter
+                   (fun ops ->
+                     Session.apply_diff sequential ops;
+                     Session.apply_diff pooled ops)
+                   (edit_ops current edit);
+                 agrees ())
+               edits))
 
 let suite =
   [
@@ -271,7 +336,10 @@ let suite =
       test_replay_revalidation;
     Alcotest.test_case "invalidate forces re-evaluation" `Quick test_invalidate;
     Alcotest.test_case "evaluate_scenario through the cache" `Quick test_evaluate_scenario;
+    Alcotest.test_case "evaluate_scenarios shares one oracle" `Quick
+      test_evaluate_scenarios;
     QCheck_alcotest.to_alcotest prop_session_equals_fresh;
     QCheck_alcotest.to_alcotest prop_parallel_equals_sequential;
     QCheck_alcotest.to_alcotest prop_session_parallel_equals_sequential;
+    QCheck_alcotest.to_alcotest prop_session_pool_equals_sequential_after_edits;
   ]

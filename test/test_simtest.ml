@@ -22,7 +22,7 @@ let open_registry env =
     Server.Persist.open_ ~fsync:Store.Journal.Always ~group ~compact_bytes
       ~env:(Simtest.Env.fs env) "sim"
   in
-  let registry = Server.Registry.create ~jobs:1 ~persist () in
+  let registry = Server.Registry.create ~persist () in
   ignore (Server.Registry.recover registry recovery.Server.Persist.mutations);
   (persist, registry)
 
@@ -155,7 +155,7 @@ let test_poisoned_journal_answers_500 () =
     Server.Persist.open_ ~fsync:Store.Journal.Always ~group ~compact_bytes
       ~env:(Simtest.Env.fs env) "sim"
   in
-  let ctx = Server.Api.make_ctx ~jobs:1 ~persist () in
+  let ctx = Server.Api.make_ctx ~persist () in
   ignore
     (Server.Registry.recover ctx.Server.Api.registry
        recovery.Server.Persist.mutations);
@@ -223,7 +223,7 @@ let test_ship_gap_resets () =
   let batch = Server.Persist.ship persist ~after:0L in
   Alcotest.(check bool) "first fetch is a plain tail" false
     batch.Store.Ship.reset;
-  let replica = Server.Registry.create ~jobs:1 () in
+  let replica = Server.Registry.create () in
   let apply batch =
     if batch.Store.Ship.reset || batch.Store.Ship.data <> "" then
       match
