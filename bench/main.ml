@@ -736,6 +736,48 @@ let incr_case ~label ~reps ~a ~b (set, architecture, mapping) =
     ("re_evaluated", Jsonlight.Int (stats.Core.Sosae.Session.evaluations - total));
   ]
 
+(* One design iteration through a fresh session, as the serving
+   benchmark's edit-evaluate workload runs it minus XML and HTTP:
+   create, cold evaluate, then excise a mid-chain link, rename a
+   component and rename it back, each edit followed by an evaluate.
+   Unlike [incr_case], the session's set-up is timed too. *)
+let edit_loop_case ~label ~reps (set, architecture, mapping) =
+  let n = List.length architecture.Adl.Structure.components in
+  let excise =
+    List.map
+      (fun l -> Adl.Diff.Remove_link l.Adl.Structure.link_id)
+      (links_between architecture
+         (Printf.sprintf "c%d" (n / 2))
+         (Printf.sprintf "c%d" ((n / 2) + 1)))
+  in
+  let o = Printf.sprintf "c%d" (n / 4) in
+  let rename a b = [ Adl.Diff.Rename_element { old_id = a; new_id = b } ] in
+  let edits = [ excise; rename o (o ^ "-v2"); rename (o ^ "-v2") o ] in
+  let project = { Core.Sosae.scenarios = set; architecture; mapping } in
+  let cold_ms = ref 0.0 in
+  let total_ms =
+    time_ms (fun () ->
+        for _ = 1 to reps do
+          let t0 = Unix.gettimeofday () in
+          let s = Core.Sosae.Session.create project in
+          ignore (Core.Sosae.Session.evaluate s);
+          cold_ms := !cold_ms +. ((Unix.gettimeofday () -. t0) *. 1000.0);
+          List.iter
+            (fun ops ->
+              Core.Sosae.Session.apply_diff s ops;
+              ignore (Core.Sosae.Session.evaluate s))
+            edits
+        done)
+  in
+  let per_rep ms = Jsonlight.Float (ms /. float_of_int reps) in
+  [
+    ("suite", Jsonlight.String label);
+    ("reps", Jsonlight.Int reps);
+    ("iteration_ms_per_rep", per_rep total_ms);
+    ("cold_ms_per_rep", per_rep !cold_ms);
+    ("edits_ms_per_rep", per_rep (total_ms -. !cold_ms));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* SCALE: parallel suite evaluation vs number of domains              *)
 (* ------------------------------------------------------------------ *)
@@ -1120,7 +1162,10 @@ let sections =
       intro =
         "Each suite is re-evaluated after excising one link: \"full\" evaluates\n\
          every scenario afresh; \"incremental\" replays a warm Sosae.Session\n\
-         (per-rep times; re_evaluated = scenarios the session re-walked).\n";
+         (per-rep times; re_evaluated = scenarios the session re-walked).\n\
+         The edit-loop row times whole design iterations on a fresh session:\n\
+         create + cold evaluate, then excise / rename / rename back, each\n\
+         followed by an evaluate.\n";
       cases =
         List.map
           (fun n () ->
@@ -1137,6 +1182,12 @@ let sections =
                 ( Casestudies.Pims.scenario_set,
                   Casestudies.Pims.architecture,
                   Casestudies.Pims.mapping ));
+            (fun () ->
+              let n = List.fold_left max 0 chains in
+              edit_loop_case
+                ~label:(Printf.sprintf "edit-loop chain-%04d" n)
+                ~reps:(if smoke then 2 else 20)
+                (chain_suite n));
           ];
     };
     {

@@ -59,7 +59,7 @@ let of_structure s =
   (* Gather directed edges in insertion order; the hashtable dedup
      keeps construction O(E) where appending to per-node lists with a
      linear membership scan was O(E^2) on dense architectures. *)
-  let seen = Hashtbl.create 64 in
+  let seen = Hashtbl.create (2 * List.length s.Structure.links) in
   let edges = ref [] in
   let add_edge a b =
     if not (Hashtbl.mem seen (a, b)) then begin
@@ -67,13 +67,12 @@ let of_structure s =
       edges := (a, b) :: !edges
     end
   in
+  let resolve = Structure.interface_resolver s in
   List.iter
     (fun l ->
       let fa = l.Structure.link_from.Structure.anchor in
       let ta = l.Structure.link_to.Structure.anchor in
-      match
-        (Structure.find_interface s l.Structure.link_from, Structure.find_interface s l.Structure.link_to)
-      with
+      match (resolve l.Structure.link_from, resolve l.Structure.link_to) with
       | Some fi, Some ti -> (
           match (Symtab.find tab fa, Symtab.find tab ta) with
           | Some fa, Some ta ->
@@ -244,5 +243,5 @@ module Core = struct
       f g.succ_tgt.(i)
     done
 
-  let bfs_tree policy g source = bfs_core policy g source (-1)
+  let may_relay = may_relay
 end

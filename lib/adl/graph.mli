@@ -54,7 +54,7 @@ val degree : t -> string -> int * int
 val edge_count : t -> int
 
 (** The interned-int view of the graph, for callers that keep per-node
-    state of their own (e.g. {!Reach}'s memoized BFS trees): node
+    state of their own (e.g. {!Reach}'s resumable searches): node
     handles are dense ints in [0 .. node_count-1], components first
     then connectors, definition order. *)
 module Core : sig
@@ -71,10 +71,8 @@ module Core : sig
   val iter_succ : t -> int -> (int -> unit) -> unit
   (** Apply a function to each successor handle, in edge order. *)
 
-  val bfs_tree : policy -> t -> int -> int array
-  (** Full BFS tree from a source handle under the policy's relay rule:
-      [tree.(v)] is the parent handle of [v], the source maps to
-      itself, [-1] means unreached. Exploration order matches
-      {!val:path}, so a source-to-target parent walk reconstructs
-      exactly the path {!val:path} returns. *)
+  val may_relay : policy -> t -> int -> int -> bool
+  (** [may_relay policy g source u]: a search from [source] may expand
+      [u] — always the source itself; any node under [Routed];
+      connectors only under [Direct]. *)
 end

@@ -1,39 +1,79 @@
-(* One full BFS tree per (policy, source), shared by every query from
-   that source. On the compact core a tree is a flat int array of
-   parent handles ([Graph.Core.bfs_tree]), so memoizing a source costs
-   one O(V+E) sweep and two words per node — cheap enough that a
-   session can afford a tree per queried source even on large
-   architectures. The exploration order matches Graph.path exactly
-   (same queue discipline, same relay rule), so reconstructed paths are
-   identical to the ones Graph.path returns — Graph.path merely stops
-   early once the target is discovered, at which point the parents on
-   the source-to-target chain are already final. *)
+(* One resumable BFS per (policy, source), shared by every query from
+   that source. A search explores only until its target is discovered
+   and keeps its frontier, so the next query from the same source
+   resumes where the last one stopped. A walk asks about bricks a few
+   hops from the source, so a search rarely grows beyond a handful of
+   nodes, and its parent map is a small table sized to what it has
+   discovered rather than an array over the whole graph.
 
-type t = {
-  g : Graph.t;
-  trees : (Graph.policy * int, int array) Hashtbl.t;
-  (* source handle -> parent handles; the source maps to itself *)
-  mutable sources : int;
-  mutable queries : int;
-  mutable memo_hits : int;
+   Exploration order is the full BFS's (FIFO queue, successors in CSR
+   order, the same relay rule as Graph.path), and a node's parent is
+   set once, when it is discovered. A search that stops early has
+   discovered a prefix of the full BFS's discovery sequence, so every
+   parent it holds is final and reconstructed paths are identical to
+   the ones Graph.path returns. *)
+
+module Handles = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash x = x
+end)
+
+type search = {
+  source : int;
+  policy : Graph.policy;
+  parent : int Handles.t;  (* discovered handle -> parent; the source maps to itself *)
+  mutable queue : int array;  (* discovered handles, in discovery order *)
+  mutable tail : int;
+  mutable head : int;  (* queue.(head ..) are discovered but not yet expanded *)
 }
 
-let create g = { g; trees = Hashtbl.create 16; sources = 0; queries = 0; memo_hits = 0 }
+(* Searches by source handle. Tables rather than arrays over the
+   graph: creating an oracle costs O(1), which a sub-suite served
+   from cache on a large architecture should not pay per node. *)
+type t = { g : Graph.t; routed : search Handles.t; direct : search Handles.t }
+
+let create g = { g; routed = Handles.create 16; direct = Handles.create 16 }
 
 let of_structure s = create (Graph.of_structure s)
 
-let graph t = t.g
+let push s v =
+  if s.tail = Array.length s.queue then begin
+    let bigger = Array.make (2 * s.tail) 0 in
+    Array.blit s.queue 0 bigger 0 s.tail;
+    s.queue <- bigger
+  end;
+  s.queue.(s.tail) <- v;
+  s.tail <- s.tail + 1
 
-let tree t policy source =
-  match Hashtbl.find_opt t.trees (policy, source) with
-  | Some tr ->
-      t.memo_hits <- t.memo_hits + 1;
-      tr
+let search t policy source =
+  let searches = match policy with Graph.Routed -> t.routed | Graph.Direct -> t.direct in
+  match Handles.find_opt searches source with
+  | Some s -> s
   | None ->
-      let tr = Graph.Core.bfs_tree policy t.g source in
-      Hashtbl.replace t.trees (policy, source) tr;
-      t.sources <- t.sources + 1;
-      tr
+      let s =
+        { source; policy; parent = Handles.create 8; queue = Array.make 8 0; tail = 0; head = 0 }
+      in
+      Handles.add s.parent source source;
+      push s source;
+      Handles.add searches source s;
+      s
+
+(* Expand queued nodes, each over its whole adjacency, until [target]
+   is discovered or the frontier is empty. *)
+let discover g s target =
+  while (not (Handles.mem s.parent target)) && s.head < s.tail do
+    let u = s.queue.(s.head) in
+    s.head <- s.head + 1;
+    if Graph.Core.may_relay s.policy g s.source u then
+      Graph.Core.iter_succ g u (fun v ->
+          if not (Handles.mem s.parent v) then begin
+            Handles.add s.parent v u;
+            push s v
+          end)
+  done
 
 type query = {
   q_policy : Graph.policy;
@@ -49,17 +89,17 @@ let recorder () = { log = [] }
 let recorded r = List.rev r.log
 
 let path_answer t policy source target =
-  t.queries <- t.queries + 1;
   if String.equal source target then Some [ source ]
   else
     match (Graph.Core.index t.g source, Graph.Core.index t.g target) with
     | Some si, Some ti ->
-        let tr = tree t policy si in
-        if tr.(ti) < 0 then None
+        let s = search t policy si in
+        discover t.g s ti;
+        if not (Handles.mem s.parent ti) then None
         else begin
           let rec build acc v =
             if v = si then Graph.Core.label t.g si :: acc
-            else build (Graph.Core.label t.g v :: acc) tr.(v)
+            else build (Graph.Core.label t.g v :: acc) (Handles.find s.parent v)
           in
           Some (build [] ti)
         end
@@ -79,9 +119,3 @@ let replay t log =
   List.for_all
     (fun q -> path_answer t q.q_policy q.q_source q.q_target = q.q_answer)
     log
-
-type stats = { sources : int; queries : int; memo_hits : int }
-
-let stats (t : t) = { sources = t.sources; queries = t.queries; memo_hits = t.memo_hits }
-
-let fingerprint (s : Structure.t) = Digest.to_hex (Digest.string (Marshal.to_string s []))

@@ -3,10 +3,14 @@
     {!Graph.path} runs a fresh BFS per query; repeated evaluation
     workloads (a whole scenario suite, or the same suite after an
     architecture edit — the paper's §4.1 excision experiment) ask many
-    queries from the same sources. A [Reach.t] caches one BFS tree per
-    [(policy, source)] pair, so every later query from that source is
-    answered by an O(path) walk up the cached tree. Answers are
-    identical to {!Graph.path}/{!Graph.reachable} on the same graph.
+    queries from the same sources. A [Reach.t] keeps one resumable BFS
+    per [(policy, source)] pair: a query explores only until its target
+    is discovered, and the next query from that source resumes from
+    there (or, when the target is already discovered, is answered by an
+    O(path) walk up the parent map). Answers are identical to
+    {!Graph.path}/{!Graph.reachable} on the same graph.
+
+    An oracle is mutable and unsynchronized: one domain at a time.
 
     A {!recorder} captures the queries (and answers) an evaluation
     performed; {!replay} checks the same queries against another
@@ -19,8 +23,6 @@ type t
 val create : Graph.t -> t
 
 val of_structure : Structure.t -> t
-
-val graph : t -> Graph.t
 
 (** {1 Query log} *)
 
@@ -44,8 +46,8 @@ val recorded : recorder -> query list
 
 val path :
   ?policy:Graph.policy -> ?record:recorder -> t -> string -> string -> string list option
-(** Same contract as {!Graph.path} (default policy [Routed]), memoized
-    per [(policy, source)]. *)
+(** Same contract as {!Graph.path} (default policy [Routed]), resuming
+    the [(policy, source)] search. *)
 
 val reachable :
   ?policy:Graph.policy -> ?record:recorder -> t -> string -> string -> bool
@@ -54,17 +56,3 @@ val reachable :
 val replay : t -> query list -> bool
 (** [replay t log] is [true] when every query in [log] yields the same
     answer against [t] as the recorded one. *)
-
-(** {1 Introspection} *)
-
-type stats = {
-  sources : int;  (** BFS trees computed *)
-  queries : int;  (** path/reachable calls answered *)
-  memo_hits : int;  (** queries served from an existing tree *)
-}
-
-val stats : t -> stats
-
-val fingerprint : Structure.t -> string
-(** Content digest of a structure; equal fingerprints mean equal
-    architectures (components, connectors, interfaces, links). *)

@@ -59,6 +59,26 @@ let find_interface t point =
     (fun i -> String.equal i.iface_id point.interface)
     (element_interfaces t point.anchor)
 
+(* The first element with an id owns it (components before
+   connectors), and within it the first interface with an id wins —
+   [find_interface]'s first-match order, in one pass over one table. *)
+let interface_resolver t =
+  let elements = List.length t.components + List.length t.connectors in
+  let owners = Hashtbl.create elements in
+  let table = Hashtbl.create (4 * elements) in
+  let add id interfaces =
+    if not (Hashtbl.mem owners id) then begin
+      Hashtbl.add owners id ();
+      List.iter
+        (fun i ->
+          if not (Hashtbl.mem table (id, i.iface_id)) then Hashtbl.add table (id, i.iface_id) i)
+        interfaces
+    end
+  in
+  List.iter (fun c -> add c.comp_id c.comp_interfaces) t.components;
+  List.iter (fun c -> add c.conn_id c.conn_interfaces) t.connectors;
+  fun p -> Hashtbl.find_opt table (p.anchor, p.interface)
+
 let tag tags name =
   Option.map snd (List.find_opt (fun (k, _) -> String.equal k name) tags)
 

@@ -70,6 +70,15 @@ val element_interfaces : t -> string -> interface list
     the id is unknown. *)
 
 val find_interface : t -> point -> interface option
+(** The interface a link endpoint names: the first element with the
+    anchor's id (components before connectors), then that element's
+    first interface with the id. [None] when either is missing. *)
+
+val interface_resolver : t -> point -> interface option
+(** [interface_resolver t] indexes every element's interfaces in one
+    pass; the returned function answers exactly as [find_interface t]
+    does, in O(1) per endpoint. Apply it once per structure when
+    resolving many endpoints (every link of a graph or a validation). *)
 
 val tag : (string * string) list -> string -> string option
 

@@ -85,7 +85,9 @@ let rec check ?(require_responsibilities = true) t =
         end)
       link_ids
   in
-  let known id = List.exists (String.equal id) ids in
+  (* [seen] now holds every element id *)
+  let known id = Hashtbl.mem seen id in
+  let resolve = Structure.interface_resolver t in
   let endpoint_problems =
     List.concat_map
       (fun l ->
@@ -93,7 +95,7 @@ let rec check ?(require_responsibilities = true) t =
         let check_point p =
           let anchor = p.Structure.anchor in
           if not (known anchor) then [ Unknown_anchor { link; anchor } ]
-          else if Structure.find_interface t p = None then
+          else if resolve p = None then
             [ Unknown_interface { link; anchor; interface = p.Structure.interface } ]
           else []
         in
@@ -103,10 +105,7 @@ let rec check ?(require_responsibilities = true) t =
   let direction_problems =
     List.filter_map
       (fun l ->
-        match
-          ( Structure.find_interface t l.Structure.link_from,
-            Structure.find_interface t l.Structure.link_to )
-        with
+        match (resolve l.Structure.link_from, resolve l.Structure.link_to) with
         | Some fi, Some ti ->
             let fwd = can_initiate fi.Structure.direction && can_accept ti.Structure.direction in
             let bwd = can_initiate ti.Structure.direction && can_accept fi.Structure.direction in

@@ -129,7 +129,7 @@ module Session = struct
      evaluate call builds its own {!Adl.Reach} oracle over it and drops
      it on return. After a full evaluate every entry is current, so no
      later call at the same revision would consult a memo — keeping one
-     for the session's lifetime only held its BFS trees alive. *)
+     for the session's lifetime only held its searches alive. *)
   type t = {
     config : Walkthrough.Engine.config;
     mutable project : project;

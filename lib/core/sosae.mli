@@ -85,7 +85,7 @@ val export_owl : project -> Semweb.Store.t
 
     A session holds the current architecture's communication graph
     ({!Adl.Graph}) and a per-scenario verdict cache. Each evaluate call
-    builds one memoized reachability oracle ({!Adl.Reach}) over the
+    builds one resumable reachability oracle ({!Adl.Reach}) over the
     graph, shared by that call's replays and walks and dropped when it
     returns. Each cached verdict carries the log of reachability
     queries its walk performed; after an architecture edit

@@ -135,6 +135,114 @@ let test_evaluate_scenarios () =
     = Error "nope");
   Alcotest.(check int) "only the id before it was looked up" 1 (looked_up () - before)
 
+(* A session walks as the one-shot engine does on lookups the builders
+   would reject: the first of two mapping entries for one event type
+   wins, so does the first of two ontology definitions, an unmapped
+   subtype inherits its nearest mapped ancestor's placement, and step
+   texts are Scenarioml.Event.render's. *)
+let test_walk_lookups () =
+  let architecture =
+    List.fold_left
+      (fun t (a, b) -> Adl.Build.biconnect t a b)
+      (List.fold_left
+         (fun t id -> Adl.Build.add_component ~id ~name:id ~responsibilities:[ "r" ] t)
+         (Adl.Build.create ~id:"idx-arch" ~name:"Index" ())
+         [ "a"; "b"; "c"; "d" ])
+      [ ("a", "b"); ("b", "c"); ("c", "d") ]
+  in
+  let ontology =
+    Ontology.Build.create ~id:"idx-o" ~name:"Index"
+    |> Ontology.Build.add_class ~id:"user" ~name:"User"
+    |> Ontology.Build.add_individual ~id:"alice" ~name:"Alice" ~cls:"user"
+    |> Ontology.Build.add_event_type ~id:"request" ~name:"request"
+         ~params:[ ("who", "user") ] ~template:"{who} sends a request"
+    |> Ontology.Build.add_event_type ~id:"store" ~name:"store" ~template:"data is stored"
+    |> Ontology.Build.add_event_type ~super:"store" ~id:"store-fast" ~name:"store fast"
+         ~template:"data is stored fast"
+    |> Ontology.Build.add_event_type ~super:"store-fast" ~id:"archive" ~name:"archive"
+         ~template:"data is archived"
+    |> Ontology.Build.add_event_type ~id:"orphan" ~name:"orphan" ~template:"nobody hears"
+  in
+  (* a second definition of "store", which Ontology.Build would reject *)
+  let ontology =
+    {
+      ontology with
+      Ontology.Types.event_types =
+        ontology.Ontology.Types.event_types
+        @ [
+            {
+              (Ontology.Types.event_type_exn ontology "store") with
+              Ontology.Types.template = "shadowed definition";
+            };
+          ];
+    }
+  in
+  let mapping =
+    Mapping.Build.create ~id:"idx-m" ~ontology ~architecture
+    |> Mapping.Build.map ~event_type:"request" ~to_:[ "a" ]
+    |> Mapping.Build.map ~event_type:"store" ~to_:[ "c" ]
+  in
+  (* a second entry for "store", which Mapping.Build would reject *)
+  let mapping =
+    {
+      mapping with
+      Mapping.Types.entries =
+        mapping.Mapping.Types.entries
+        @ [ { Mapping.Types.event_type = "store"; components = [ "d" ]; rationale = "" } ];
+    }
+  in
+  let ev id event_type args = Scenarioml.Event.typed ~id ~event_type args in
+  let scenarios =
+    [
+      Scenarioml.Scen.scenario ~id:"chain" ~name:"Chain"
+        [
+          ev "e1" "request" [ Scenarioml.Event.individual ~param:"who" "alice" ];
+          ev "e2" "store" [];
+          ev "e3" "store-fast" [];
+          ev "e4" "archive" [];
+        ];
+      Scenarioml.Scen.scenario ~id:"lost" ~name:"Lost"
+        [ ev "e5" "request" []; Scenarioml.Event.simple ~id:"e6" "time passes"; ev "e7" "orphan" [] ];
+    ]
+  in
+  let set = Scenarioml.Scen.make_set ~id:"idx-s" ~name:"Index" ontology scenarios in
+  let project = { Core.Sosae.scenarios = set; architecture; mapping } in
+  let from_session = Session.evaluate (Session.create project) in
+  let from_engine = Walkthrough.Engine.evaluate_set ~set ~architecture ~mapping () in
+  Alcotest.(check bool) "session = engine" true (from_session = from_engine);
+  let steps id =
+    List.concat_map
+      (fun t -> t.Walkthrough.Verdict.steps)
+      (find_result from_session id).Walkthrough.Verdict.traces
+  in
+  Alcotest.(check (list (list string)))
+    "first entry wins; subtypes inherit the nearest mapped ancestor"
+    [ [ "a" ]; [ "c" ]; [ "c" ]; [ "c" ] ]
+    (List.map (fun st -> st.Walkthrough.Verdict.components) (steps "chain"));
+  List.iter
+    (fun sc ->
+      let rendered =
+        List.concat_map
+          (List.map (fun step ->
+               Scenarioml.Event.render ontology step.Scenarioml.Linearize.step_event))
+          (Scenarioml.Linearize.scenario set sc).Scenarioml.Linearize.traces
+      in
+      Alcotest.(check (list string))
+        ("step texts of " ^ sc.Scenarioml.Scen.scenario_id)
+        rendered
+        (List.map (fun st -> st.Walkthrough.Verdict.text) (steps sc.Scenarioml.Scen.scenario_id)))
+    scenarios;
+  Alcotest.(check string) "individuals by name" "Alice sends a request"
+    (List.hd (steps "chain")).Walkthrough.Verdict.text;
+  Alcotest.(check string) "first definition wins" "data is stored"
+    (List.nth (steps "chain") 1).Walkthrough.Verdict.text;
+  Alcotest.(check bool) "unmapped type reported" true
+    (List.exists
+       (function
+         | Walkthrough.Verdict.Unmapped_event_type { event_type = "orphan"; _ } -> true
+         | _ -> false)
+       (find_result from_session "lost").Walkthrough.Verdict.inconsistencies)
+
 (* ---------------- equivalence under random edit sequences ---------- *)
 
 let gen_arch_spec =
@@ -338,6 +446,8 @@ let suite =
     Alcotest.test_case "evaluate_scenario through the cache" `Quick test_evaluate_scenario;
     Alcotest.test_case "evaluate_scenarios shares one oracle" `Quick
       test_evaluate_scenarios;
+    Alcotest.test_case "walk lookups: first entry wins, subtypes inherit" `Quick
+      test_walk_lookups;
     QCheck_alcotest.to_alcotest prop_session_equals_fresh;
     QCheck_alcotest.to_alcotest prop_parallel_equals_sequential;
     QCheck_alcotest.to_alcotest prop_session_parallel_equals_sequential;
