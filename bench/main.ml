@@ -817,6 +817,68 @@ let scale_case ~label ~reps (set, architecture, mapping) =
            timings) );
   ]
 
+(* The create path's byte-level layers on one inline POST /sessions of
+   a chain suite: HTTP framing fed in the daemon's 8 KiB reads, JSON
+   body decoding, and parsing + decoding the three XML documents. Each
+   is timed on its own and reported per KiB of request. *)
+let ingest_case n =
+  let set, architecture, mapping = chain_suite n in
+  let scenarios = Scenarioml.Xml_io.set_to_string set in
+  let architecture = Adl.Xml_io.to_string architecture in
+  let mapping = Mapping.Xml_io.to_string mapping in
+  let body =
+    Jsonlight.to_string
+      (Jsonlight.Obj
+         [
+           ("id", Jsonlight.String "ingest");
+           ("scenarios", Jsonlight.String scenarios);
+           ("architecture", Jsonlight.String architecture);
+           ("mapping", Jsonlight.String mapping);
+         ])
+  in
+  let request =
+    Bytes.of_string
+      (Printf.sprintf "POST /sessions HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+         (String.length body) body)
+  in
+  let kib = float_of_int (Bytes.length request) /. 1024.0 in
+  let reps = if smoke then 2 else max 5 (4096 / n) in
+  let frame () =
+    let p = Server.Http.parser_ () in
+    let rec go off =
+      let len = min 8192 (Bytes.length request - off) in
+      Server.Http.feed_bytes p request off len;
+      match Server.Http.next p with
+      | `Request r -> assert (String.length r.Server.Http.body = String.length body)
+      | `Need_more -> go (off + len)
+      | `Error _ -> assert false
+    in
+    go 0
+  in
+  let decode () = assert (Result.is_ok (Jsonlight.of_string body)) in
+  let load () =
+    assert (Result.is_ok (Core.Sosae.project_of_strings ~scenarios ~architecture ~mapping))
+  in
+  let us_per_kib f =
+    f () (* warm-up, not timed *);
+    time_ms (fun () ->
+        for _ = 1 to reps do
+          f ()
+        done)
+    *. 1000.0 /. float_of_int reps /. kib
+  in
+  let http = us_per_kib frame and json = us_per_kib decode and xml = us_per_kib load in
+  gated "kib_per_second" 0.5
+    [
+      ("suite", Jsonlight.String (Printf.sprintf "ingest chain-%04d" n));
+      ("request_kib", Jsonlight.Float kib);
+      ("reps", Jsonlight.Int reps);
+      ("http_us_per_kib", Jsonlight.Float http);
+      ("json_us_per_kib", Jsonlight.Float json);
+      ("load_us_per_kib", Jsonlight.Float xml);
+      ("kib_per_second", Jsonlight.Float (1e6 /. (http +. json +. xml)));
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* WAL: write-ahead journal throughput                                *)
 (* ------------------------------------------------------------------ *)
@@ -1194,17 +1256,21 @@ let sections =
       target = "scale";
       key = "scale";
       id = "SCALE";
-      title = "Suite evaluation wall-clock vs domain-pool size (--jobs)";
+      title = "Suite evaluation wall-clock vs domain-pool size (--jobs), and create ingest";
       intro =
         "Every scenario of a suite is an independent walkthrough; Sosae.evaluate ~jobs\n\
-         fans them out over an OCaml 5 domain pool (per-rep times)\n" ^ cores_note;
+         fans them out over an OCaml 5 domain pool (per-rep times)\n" ^ cores_note
+        ^ "The ingest rows time one inline POST /sessions of a chain suite per layer,\n\
+           in microseconds per KiB of request: HTTP framing in 8 KiB feeds, JSON body\n\
+           decoding, and Sosae.project_of_strings (XML parsing and decoding).\n";
       cases =
         List.map
           (fun n () ->
             scale_case ~label:(chain_label n)
               ~reps:(if smoke then 2 else max 3 (4096 / n))
               (chain_suite n))
-          chains;
+          chains
+        @ List.map (fun n () -> ingest_case n) (if smoke then [ 64 ] else [ 256; 1024 ]);
     };
     {
       target = "wal";

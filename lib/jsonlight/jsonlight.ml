@@ -131,98 +131,130 @@ exception Parse_error of string
 
 let parse_error fmt = Printf.ksprintf (fun m -> raise (Parse_error m)) fmt
 
-type cursor = { input : string; mutable pos : int }
+type cursor = { input : string; len : int; mutable pos : int }
 
-let peek c = if c.pos < String.length c.input then Some c.input.[c.pos] else None
+(* '\000' past the end of input: callers that must tell the end from a
+   NUL byte ask [at_end]. A sentinel instead of an option keeps the
+   per-byte peek allocation-free. *)
+let peek c = if c.pos < c.len then String.unsafe_get c.input c.pos else '\000'
+
+let at_end c = c.pos >= c.len
 
 let advance c = c.pos <- c.pos + 1
 
 let skip_ws c =
   while
     match peek c with
-    | Some (' ' | '\t' | '\n' | '\r') ->
+    | ' ' | '\t' | '\n' | '\r' ->
         advance c;
         true
-    | Some _ | None -> false
+    | _ -> false
   do
     ()
   done
 
 let expect c ch =
-  match peek c with
-  | Some x when x = ch -> advance c
-  | Some x -> parse_error "expected %C at offset %d, found %C" ch c.pos x
-  | None -> parse_error "expected %C at offset %d, found end of input" ch c.pos
+  if at_end c then parse_error "expected %C at offset %d, found end of input" ch c.pos
+  else
+    let x = peek c in
+    if x = ch then advance c else parse_error "expected %C at offset %d, found %C" ch c.pos x
 
 let literal c word value =
   let n = String.length word in
-  if c.pos + n <= String.length c.input && String.sub c.input c.pos n = word then begin
+  if c.pos + n <= c.len && String.sub c.input c.pos n = word then begin
     c.pos <- c.pos + n;
     value
   end
   else parse_error "invalid literal at offset %d" c.pos
 
+(* Offset of the next '"' or '\\' at or after [i], or the input length. *)
+let rec clean_run_end c i =
+  if i >= c.len then i
+  else
+    match String.unsafe_get c.input i with
+    | '"' | '\\' -> i
+    | _ -> clean_run_end c (i + 1)
+
+(* Decode the escape after a backslash (the cursor is past it) into [buf]. *)
+let unescape c buf =
+  if at_end c then parse_error "unterminated escape at offset %d" c.pos;
+  let simple ch =
+    advance c;
+    Buffer.add_char buf ch
+  in
+  match peek c with
+  | '"' -> simple '"'
+  | '\\' -> simple '\\'
+  | '/' -> simple '/'
+  | 'n' -> simple '\n'
+  | 'r' -> simple '\r'
+  | 't' -> simple '\t'
+  | 'b' -> simple '\b'
+  | 'f' -> simple '\012'
+  | 'u' ->
+      advance c;
+      if c.pos + 4 > c.len then parse_error "truncated \\u escape at offset %d" c.pos;
+      let code =
+        try int_of_string ("0x" ^ String.sub c.input c.pos 4)
+        with Failure _ -> parse_error "invalid \\u escape at offset %d" c.pos
+      in
+      c.pos <- c.pos + 4;
+      (* Escaped control characters are all we emit; anything else
+         is preserved as UTF-8. *)
+      if code < 0x80 then Buffer.add_char buf (Char.chr code)
+      else if code < 0x800 then begin
+        Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+      end
+      else begin
+        Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+        Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+      end
+  | x -> parse_error "invalid escape \\%C at offset %d" x c.pos
+
+(* Clean spans up to the next quote or backslash are copied whole, the
+   mirror of [escape_to]: a string without escapes is one [String.sub],
+   and XML documents embedded as strings copy run by run. *)
 let parse_string c =
   expect c '"';
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek c with
-    | None -> parse_error "unterminated string at offset %d" c.pos
-    | Some '"' -> advance c
-    | Some '\\' -> (
+  let start = c.pos in
+  c.pos <- clean_run_end c start;
+  if peek c = '"' then begin
+    advance c;
+    String.sub c.input start (c.pos - 1 - start)
+  end
+  else begin
+    let buf = Buffer.create (c.pos - start + 16) in
+    Buffer.add_substring buf c.input start (c.pos - start);
+    let rec loop () =
+      if at_end c then parse_error "unterminated string at offset %d" c.pos
+      else if peek c = '"' then advance c
+      else begin
+        (* a backslash *)
         advance c;
-        match peek c with
-        | Some '"' -> advance c; Buffer.add_char buf '"'; loop ()
-        | Some '\\' -> advance c; Buffer.add_char buf '\\'; loop ()
-        | Some '/' -> advance c; Buffer.add_char buf '/'; loop ()
-        | Some 'n' -> advance c; Buffer.add_char buf '\n'; loop ()
-        | Some 'r' -> advance c; Buffer.add_char buf '\r'; loop ()
-        | Some 't' -> advance c; Buffer.add_char buf '\t'; loop ()
-        | Some 'b' -> advance c; Buffer.add_char buf '\b'; loop ()
-        | Some 'f' -> advance c; Buffer.add_char buf '\012'; loop ()
-        | Some 'u' ->
-            advance c;
-            if c.pos + 4 > String.length c.input then
-              parse_error "truncated \\u escape at offset %d" c.pos;
-            let code =
-              try int_of_string ("0x" ^ String.sub c.input c.pos 4)
-              with Failure _ -> parse_error "invalid \\u escape at offset %d" c.pos
-            in
-            c.pos <- c.pos + 4;
-            (* Escaped control characters are all we emit; anything else
-               is preserved as UTF-8. *)
-            if code < 0x80 then Buffer.add_char buf (Char.chr code)
-            else if code < 0x800 then begin
-              Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-            end
-            else begin
-              Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-              Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-            end;
-            loop ()
-        | Some x -> parse_error "invalid escape \\%C at offset %d" x c.pos
-        | None -> parse_error "unterminated escape at offset %d" c.pos)
-    | Some ch ->
-        advance c;
-        Buffer.add_char buf ch;
+        unescape c buf;
+        let from = c.pos in
+        c.pos <- clean_run_end c from;
+        Buffer.add_substring buf c.input from (c.pos - from);
         loop ()
-  in
-  loop ();
-  Buffer.contents buf
+      end
+    in
+    loop ();
+    Buffer.contents buf
+  end
 
 let parse_number c =
   let start = c.pos in
   let is_float = ref false in
   let rec loop () =
     match peek c with
-    | Some ('0' .. '9' | '-' | '+') -> advance c; loop ()
-    | Some ('.' | 'e' | 'E') ->
+    | '0' .. '9' | '-' | '+' -> advance c; loop ()
+    | '.' | 'e' | 'E' ->
         is_float := true;
         advance c;
         loop ()
-    | Some _ | None -> ()
+    | _ -> ()
   in
   loop ();
   let text = String.sub c.input start (c.pos - start) in
@@ -241,16 +273,17 @@ let parse_number c =
 
 let rec parse_value c =
   skip_ws c;
+  if at_end c then parse_error "unexpected end of input at offset %d" c.pos;
   match peek c with
-  | Some 'n' -> literal c "null" Null
-  | Some 't' -> literal c "true" (Bool true)
-  | Some 'f' -> literal c "false" (Bool false)
-  | Some '"' -> String (parse_string c)
-  | Some ('-' | '0' .. '9') -> parse_number c
-  | Some '[' ->
+  | 'n' -> literal c "null" Null
+  | 't' -> literal c "true" (Bool true)
+  | 'f' -> literal c "false" (Bool false)
+  | '"' -> String (parse_string c)
+  | '-' | '0' .. '9' -> parse_number c
+  | '[' ->
       advance c;
       skip_ws c;
-      if peek c = Some ']' then begin
+      if peek c = ']' then begin
         advance c;
         List []
       end
@@ -259,21 +292,21 @@ let rec parse_value c =
           let v = parse_value c in
           skip_ws c;
           match peek c with
-          | Some ',' ->
+          | ',' ->
               advance c;
               items (v :: acc)
-          | Some ']' ->
+          | ']' ->
               advance c;
               List.rev (v :: acc)
-          | Some x -> parse_error "expected ',' or ']' at offset %d, found %C" c.pos x
-          | None -> parse_error "unterminated array at offset %d" c.pos
+          | _ when at_end c -> parse_error "unterminated array at offset %d" c.pos
+          | x -> parse_error "expected ',' or ']' at offset %d, found %C" c.pos x
         in
         List (items [])
       end
-  | Some '{' ->
+  | '{' ->
       advance c;
       skip_ws c;
-      if peek c = Some '}' then begin
+      if peek c = '}' then begin
         advance c;
         Obj []
       end
@@ -289,22 +322,21 @@ let rec parse_value c =
           let kv = field () in
           skip_ws c;
           match peek c with
-          | Some ',' ->
+          | ',' ->
               advance c;
               fields (kv :: acc)
-          | Some '}' ->
+          | '}' ->
               advance c;
               List.rev (kv :: acc)
-          | Some x -> parse_error "expected ',' or '}' at offset %d, found %C" c.pos x
-          | None -> parse_error "unterminated object at offset %d" c.pos
+          | _ when at_end c -> parse_error "unterminated object at offset %d" c.pos
+          | x -> parse_error "expected ',' or '}' at offset %d, found %C" c.pos x
         in
         Obj (fields [])
       end
-  | Some x -> parse_error "unexpected %C at offset %d" x c.pos
-  | None -> parse_error "unexpected end of input at offset %d" c.pos
+  | x -> parse_error "unexpected %C at offset %d" x c.pos
 
 let of_string s =
-  let c = { input = s; pos = 0 } in
+  let c = { input = s; len = String.length s; pos = 0 } in
   match parse_value c with
   | v ->
       skip_ws c;

@@ -156,7 +156,7 @@ let serve_connection config api_ctx fd =
         match Unix.read fd chunk 0 (Bytes.length chunk) with
         | 0 -> ()  (* peer closed; a torn request just dies with it *)
         | n ->
-            Http.feed parser_ (Bytes.sub_string chunk 0 n);
+            Http.feed_bytes parser_ chunk 0 n;
             loop ()
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->

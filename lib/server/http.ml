@@ -134,31 +134,93 @@ let split_target target =
 (* Incremental parsing                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* Unconsumed bytes live in [buf] between [start] and [stop]. Once a
+   head parses, its request waits in [pending] with a body buffer of
+   exactly the declared length: later bytes are copied straight into
+   it, so a large body is copied once from the caller's chunks into its
+   final string, and the head is never re-parsed. *)
+type pending = {
+  request : request;
+  framed : int;  (** head bytes consumed, counted by [buffered] *)
+  body_buf : Bytes.t;
+  mutable filled : int;
+}
+
 type parser_ = {
   max_head : int;
   max_body : int;
-  mutable buf : string;  (** unconsumed bytes *)
+  mutable buf : Bytes.t;
+  mutable start : int;
+  mutable stop : int;
+  mutable scanned : int;  (** bytes after [start] already searched for the head's end *)
+  mutable pending : pending option;
   mutable failed : parse_error option;  (** sticky *)
 }
 
 let parser_ ?(max_head = 16 * 1024) ?(max_body = 4 * 1024 * 1024) () =
-  { max_head; max_body; buf = ""; failed = None }
+  {
+    max_head;
+    max_body;
+    buf = Bytes.empty;
+    start = 0;
+    stop = 0;
+    scanned = 0;
+    pending = None;
+    failed = None;
+  }
 
-let feed p s = if s <> "" then p.buf <- p.buf ^ s
+let buffered p =
+  p.stop - p.start
+  + match p.pending with Some b -> b.framed + b.filled | None -> 0
 
-let buffered p = String.length p.buf
+(* Room for [n] more bytes after [stop]: slide the unconsumed bytes to
+   the front when that frees enough, otherwise grow at least twofold. *)
+let reserve p n =
+  if p.stop + n > Bytes.length p.buf then begin
+    let live = p.stop - p.start in
+    let cap = Bytes.length p.buf in
+    let dst =
+      if live + n <= cap / 2 then p.buf
+      else Bytes.create (max (live + n) (max 4096 (2 * cap)))
+    in
+    Bytes.blit p.buf p.start dst 0 live;
+    p.buf <- dst;
+    p.start <- 0;
+    p.stop <- live
+  end
 
-(* index of "\r\n\r\n" in [s], if any *)
-let find_head_end s =
-  let n = String.length s in
+let feed_bytes p bytes off len =
+  let off, len =
+    match p.pending with
+    | Some b ->
+        let k = min len (Bytes.length b.body_buf - b.filled) in
+        Bytes.blit bytes off b.body_buf b.filled k;
+        b.filled <- b.filled + k;
+        (off + k, len - k)
+    | None -> (off, len)
+  in
+  if len > 0 then begin
+    reserve p len;
+    Bytes.blit bytes off p.buf p.stop len;
+    p.stop <- p.stop + len
+  end
+
+(* [feed_bytes] only reads its source, so the string is never mutated *)
+let feed p s = feed_bytes p (Bytes.unsafe_of_string s) 0 (String.length s)
+
+(* offset of "\r\n\r\n" in [buf] between [from] and [stop], if any *)
+let find_head_end p from =
   let rec go i =
-    if i + 3 >= n then None
+    if i + 3 >= p.stop then None
     else if
-      s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r' && s.[i + 3] = '\n'
+      Bytes.unsafe_get p.buf i = '\r'
+      && Bytes.unsafe_get p.buf (i + 1) = '\n'
+      && Bytes.unsafe_get p.buf (i + 2) = '\r'
+      && Bytes.unsafe_get p.buf (i + 3) = '\n'
     then Some i
     else go (i + 1)
   in
-  go 0
+  go from
 
 let is_tchar c =
   match c with
@@ -204,16 +266,16 @@ let parse_header_line line =
         Error (Bad_request (Printf.sprintf "malformed header name %S" name))
       else Ok (String.lowercase_ascii name, trim_ows value)
 
-let rec split_crlf_lines s =
-  match
-    let n = String.length s in
-    let rec go i = if i + 1 >= n then None else if s.[i] = '\r' && s.[i + 1] = '\n' then Some i else go (i + 1) in
-    go 0
-  with
-  | Some i ->
-      String.sub s 0 i
-      :: split_crlf_lines (String.sub s (i + 2) (String.length s - i - 2))
-  | None -> if s = "" then [] else [ s ]
+(* The head's lines, split by index: each line is copied once. *)
+let split_crlf_lines s =
+  let n = String.length s in
+  let rec go from i acc =
+    if i + 1 >= n then List.rev (if from < n then String.sub s from (n - from) :: acc else acc)
+    else if s.[i] = '\r' && s.[i + 1] = '\n' then
+      go (i + 2) (i + 2) (String.sub s from (i - from) :: acc)
+    else go from (i + 1) acc
+  in
+  go 0 0 []
 
 let parse_headers lines =
   List.fold_left
@@ -259,47 +321,48 @@ let parse_head p head =
   let path, query = split_target target in
   Ok ({ meth; target; path; query; version; headers; body = "" }, length)
 
-let next p =
-  match p.failed with
-  | Some e -> `Error e
-  | None -> (
+let rec next p =
+  match (p.failed, p.pending) with
+  | Some e, _ -> `Error e
+  | None, Some b ->
+      if b.filled < Bytes.length b.body_buf then `Need_more
+      else begin
+        p.pending <- None;
+        (* the body buffer is dropped here, so it is never mutated again *)
+        `Request { b.request with body = Bytes.unsafe_to_string b.body_buf }
+      end
+  | None, None -> (
       (* tolerate CRLFs preceding the request line (RFC 9112 §2.2) *)
-      let skip = ref 0 in
-      let n = String.length p.buf in
       while
-        !skip + 1 < n && p.buf.[!skip] = '\r' && p.buf.[!skip + 1] = '\n'
+        p.start + 1 < p.stop
+        && Bytes.get p.buf p.start = '\r'
+        && Bytes.get p.buf (p.start + 1) = '\n'
       do
-        skip := !skip + 2
+        p.start <- p.start + 2;
+        p.scanned <- 0
       done;
-      if !skip > 0 then p.buf <- String.sub p.buf !skip (n - !skip);
-      match find_head_end p.buf with
+      let fail e =
+        p.failed <- Some e;
+        `Error e
+      in
+      match find_head_end p (p.start + max 0 (p.scanned - 3)) with
       | None ->
-          if String.length p.buf > p.max_head then begin
-            p.failed <- Some Head_too_large;
-            `Error Head_too_large
-          end
-          else `Need_more
-      | Some head_end ->
-          if head_end > p.max_head then begin
-            p.failed <- Some Head_too_large;
-            `Error Head_too_large
-          end
-          else (
-            let head = String.sub p.buf 0 head_end in
-            match parse_head p head with
-            | Error e ->
-                p.failed <- Some e;
-                `Error e
-            | Ok (request, length) ->
-                let body_start = head_end + 4 in
-                if String.length p.buf - body_start < length then `Need_more
-                else begin
-                  let body = String.sub p.buf body_start length in
-                  let consumed = body_start + length in
-                  p.buf <-
-                    String.sub p.buf consumed (String.length p.buf - consumed);
-                  `Request { request with body }
-                end))
+          p.scanned <- p.stop - p.start;
+          if p.stop - p.start > p.max_head then fail Head_too_large else `Need_more
+      | Some head_end when head_end - p.start > p.max_head -> fail Head_too_large
+      | Some head_end -> (
+          match parse_head p (Bytes.sub_string p.buf p.start (head_end - p.start)) with
+          | Error e -> fail e
+          | Ok (request, length) ->
+              let framed = head_end + 4 - p.start in
+              p.start <- head_end + 4;
+              p.scanned <- 0;
+              let filled = min length (p.stop - p.start) in
+              let body_buf = Bytes.create length in
+              Bytes.blit p.buf p.start body_buf 0 filled;
+              p.start <- p.start + filled;
+              p.pending <- Some { request; framed; body_buf; filled };
+              next p))
 
 (* ------------------------------------------------------------------ *)
 (* Responses                                                          *)

@@ -49,10 +49,19 @@ val parse_error_message : parse_error -> string
 type parser_
 
 val parser_ : ?max_head:int -> ?max_body:int -> unit -> parser_
-(** Limits default to 16 KiB of head and 4 MiB of body. *)
+(** Limits default to 16 KiB of head and 4 MiB of body. Once a head
+    parses, the parser allocates its body's buffer at the declared
+    [Content-Length] (at most [max_body]) before the body arrives. *)
 
 val feed : parser_ -> string -> unit
-(** Append newly received bytes. *)
+(** Append newly received bytes. Appending is amortized linear in the
+    bytes fed: buffered bytes are not re-copied, and once a head has
+    parsed its body bytes go straight into the body's own buffer. *)
+
+val feed_bytes : parser_ -> Bytes.t -> int -> int -> unit
+(** [feed_bytes p buf off len] is {!feed} of the [len] bytes of [buf]
+    from [off], without an intermediate string; [p] keeps no reference
+    to [buf], so a reader can reuse it for the next chunk. *)
 
 val next : parser_ -> [ `Request of request | `Need_more | `Error of parse_error ]
 (** Try to extract the next complete request from the buffered bytes.

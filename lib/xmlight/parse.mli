@@ -7,6 +7,9 @@
     as prefixed names; no DTD validation is performed. *)
 
 type position = { line : int; column : int }
+(** 1-based; lines end at ['\n'], columns count bytes. The parser
+    tracks only a byte offset and computes the position when it reports
+    an error, so well-formed input pays nothing for it. *)
 
 type error = { position : position; message : string }
 

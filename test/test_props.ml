@@ -439,6 +439,56 @@ let prop_prose_roundtrip =
       let back = Scenarioml.Text_io.of_prose prose in
       List.length back.Scenarioml.Scen.events = List.length texts)
 
+(* --- JSON: run-copying strings round-trip and fail as before --- *)
+
+let prop_json_string_roundtrip =
+  QCheck2.Test.make ~name:"json: of_string (to_string (String s)) = Ok (String s) on any bytes"
+    ~count:500
+    QCheck2.Gen.(
+      let piece =
+        oneof
+          [
+            map (String.make 1) char;
+            oneofl [ "\\u0041"; "\\"; "\""; "\u{e9}"; "\u{20ac}"; "\000"; "\r\n"; "\x7f" ];
+          ]
+      in
+      map (String.concat "") (list_size (int_range 0 40) piece))
+    (fun s -> Jsonlight.of_string (Jsonlight.to_string (Jsonlight.String s)) = Ok (Jsonlight.String s))
+
+(* JSON texts rich in string escapes, well-formed or not, then torn or
+   corrupted: the reader must answer exactly as the frozen reference. *)
+let gen_json_text =
+  QCheck2.Gen.(
+    let piece =
+      oneofl
+        [ "a"; " "; "\u{e9}"; "\t"; "\000"; "\\\""; "\\\\"; "\\/"; "\\n"; "\\r"; "\\t"; "\\b";
+          "\\f"; "\\u0041"; "\\u00e9"; "\\u20AC"; "\\u0000"; "\\uZZ12"; "\\u12"; "\\q"; "\\" ]
+    in
+    let str = map (fun l -> "\"" ^ String.concat "" l ^ "\"") (list_size (int_range 0 10) piece) in
+    let* a = str in
+    let* b = str in
+    oneofl
+      [ a; Printf.sprintf "{%s: [%s, 1, -2.5e3, true, null]}" a b;
+        Printf.sprintf "[%s,{\"k\":%s}]" a b ])
+
+let prop_json_reference_agrees =
+  QCheck2.Test.make
+    ~name:"json: reader agrees with the frozen reference on texts, truncations and corruptions"
+    ~count:500
+    QCheck2.Gen.(
+      let* text = gen_json_text in
+      let n = String.length text in
+      let* cut = int_range 0 n in
+      let* at = int_range 0 (n - 1) in
+      let* c = oneofl [ '"'; '\\'; 'u'; '0'; '}'; ']'; ','; ':'; ' '; '\000' ] in
+      return (text, cut, at, c))
+    ~print:(fun (text, _, _, _) -> String.escaped text)
+    (fun (text, cut, at, c) ->
+      let agrees t = Jsonlight.of_string t = Json_reference.of_string t in
+      agrees text
+      && agrees (String.sub text 0 cut)
+      && agrees (String.mapi (fun i x -> if i = at then c else x) text))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_adl_xml_roundtrip;
@@ -453,4 +503,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_mapping_xml_roundtrip;
     QCheck_alcotest.to_alcotest prop_prose_roundtrip;
     QCheck_alcotest.to_alcotest prop_c2_stacks_conform;
+    QCheck_alcotest.to_alcotest prop_json_string_roundtrip;
+    QCheck_alcotest.to_alcotest prop_json_reference_agrees;
   ]

@@ -137,13 +137,24 @@ let test_serialize () =
 
 (* ---------------- HTTP parser: properties -------------------------- *)
 
-(* the bytes of one valid request *)
+(* a body of [n] bytes, from a cheap pattern rather than [n] random draws *)
+let patterned_body n seed =
+  String.init n (fun i -> "x{\" \n0123456789abcdef".[((i * seed) + (i / 7)) mod 21])
+
+(* the bytes of one valid request; one in ten carries a large body of
+   64 KiB to 1 MiB *)
 let gen_request_bytes =
   QCheck2.Gen.(
     let ident = string_size ~gen:(oneofl [ 'a'; 'b'; 'z'; '0'; '-' ]) (int_range 1 8) in
     let* meth = oneofl [ "GET"; "POST"; "DELETE"; "PUT" ] in
     let* segments = list_size (int_range 0 4) ident in
-    let* body = string_size ~gen:(oneofl [ 'x'; '{'; '"'; ' '; '\n' ]) (int_range 0 64) in
+    let* body =
+      frequency
+        [
+          (9, string_size ~gen:(oneofl [ 'x'; '{'; '"'; ' '; '\n' ]) (int_range 0 64));
+          (1, map2 patterned_body (int_range (64 * 1024) (1024 * 1024)) (int_range 1 97));
+        ]
+    in
     let* extra_headers = list_size (int_range 0 3) (pair ident ident) in
     let target = "/" ^ String.concat "/" segments in
     let head =
@@ -154,13 +165,6 @@ let gen_request_bytes =
     in
     return (head ^ body))
 
-(* a valid request and a random chunking of its bytes *)
-let gen_request_and_cuts =
-  QCheck2.Gen.(
-    let* bytes = gen_request_bytes in
-    let* cuts = list_size (int_range 0 8) (int_range 0 (String.length bytes)) in
-    return (bytes, cuts))
-
 let chunks_of bytes cuts =
   let cuts = List.sort_uniq compare (0 :: String.length bytes :: cuts) in
   let rec go = function
@@ -169,10 +173,31 @@ let chunks_of bytes cuts =
   in
   go cuts
 
+(* how a stream is torn: at random cuts, or into the daemon's 8 KiB reads *)
+let gen_cuts total =
+  QCheck2.Gen.(
+    oneof
+      [
+        list_size (int_range 0 12) (int_range 0 total);
+        return (List.init (total / 8192) (fun i -> (i + 1) * 8192));
+      ])
+
+(* a valid request and a chunking of its bytes *)
+let gen_request_and_cuts =
+  QCheck2.Gen.(
+    let* bytes = gen_request_bytes in
+    let* cuts = gen_cuts (String.length bytes) in
+    return (bytes, cuts))
+
+let print_stream (bytes, cuts) =
+  Printf.sprintf "%d bytes, head %S, cuts [%s]" (String.length bytes)
+    (String.sub bytes 0 (min 120 (String.length bytes)))
+    (String.concat ";" (List.map string_of_int cuts))
+
 let prop_torn_reads =
   QCheck2.Test.make
     ~name:"http parser: any chunking of a valid request parses identically"
-    ~count:500 gen_request_and_cuts (fun (bytes, cuts) ->
+    ~count:500 ~print:print_stream gen_request_and_cuts (fun (bytes, cuts) ->
       let whole =
         match parse_one bytes with
         | `Request r -> r
@@ -199,40 +224,99 @@ let prop_torn_reads =
 let gen_pipeline_and_cuts =
   QCheck2.Gen.(
     let* requests = list_size (int_range 1 4) gen_request_bytes in
-    let total = String.length (String.concat "" requests) in
-    let* cuts = list_size (int_range 0 12) (int_range 0 total) in
+    let* cuts = gen_cuts (String.length (String.concat "" requests)) in
     return (requests, cuts))
+
+(* feed [chunks] through one parser, draining it after each *)
+let parse_stream chunks =
+  let p = Http.parser_ () in
+  let parsed = ref [] in
+  let rec drain () =
+    match Http.next p with
+    | `Request r ->
+        parsed := r :: !parsed;
+        drain ()
+    | `Need_more -> ()
+    | `Error e -> QCheck2.Test.fail_report (Http.parse_error_message e)
+  in
+  List.iter
+    (fun chunk ->
+      Http.feed p chunk;
+      drain ())
+    chunks;
+  (List.rev !parsed, Http.buffered p)
+
+let parse_each requests =
+  List.map
+    (fun bytes ->
+      match parse_one bytes with
+      | `Request r -> r
+      | _ -> QCheck2.Test.fail_report "individual request did not parse")
+    requests
 
 let prop_pipelined_framing =
   QCheck2.Test.make
     ~name:
       "http parser: a pipelined connection parses to the same requests as \
        one per connection"
-    ~count:500 gen_pipeline_and_cuts (fun (requests, cuts) ->
-      let expected =
-        List.map
-          (fun bytes ->
-            match parse_one bytes with
-            | `Request r -> r
-            | _ -> QCheck2.Test.fail_report "individual request did not parse")
-          requests
-      in
-      let p = Http.parser_ () in
-      let parsed = ref [] in
-      let rec drain () =
-        match Http.next p with
-        | `Request r ->
-            parsed := r :: !parsed;
-            drain ()
-        | `Need_more -> ()
-        | `Error e -> QCheck2.Test.fail_report (Http.parse_error_message e)
-      in
-      List.iter
-        (fun chunk ->
-          Http.feed p chunk;
-          drain ())
-        (chunks_of (String.concat "" requests) cuts);
-      List.rev !parsed = expected && Http.buffered p = 0)
+    ~count:500
+    ~print:(fun (requests, cuts) -> print_stream (String.concat "" requests, cuts))
+    gen_pipeline_and_cuts
+    (fun (requests, cuts) ->
+      parse_stream (chunks_of (String.concat "" requests) cuts) = (parse_each requests, 0))
+
+let reads_of_8k bytes =
+  chunks_of bytes (List.init (String.length bytes / 8192) (fun i -> (i + 1) * 8192))
+
+let post_of_body body =
+  Printf.sprintf "POST /sessions HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" (String.length body)
+    body
+
+let test_pipelined_after_large_body () =
+  let requests =
+    [ post_of_body (patterned_body (300 * 1024) 13); "GET /health HTTP/1.1\r\n\r\n";
+      post_of_body "{}" ]
+  in
+  let parsed, left = parse_stream (reads_of_8k (String.concat "" requests)) in
+  Alcotest.(check int) "all three parsed" 3 (List.length parsed);
+  Alcotest.(check bool) "same as one per connection" true (parsed = parse_each requests);
+  Alcotest.(check int) "nothing left buffered" 0 left
+
+let test_body_on_chunk_boundary () =
+  let head_len = String.length (post_of_body (String.make 32760 'b')) - 32760 in
+  (* the body ends exactly where the fourth 8 KiB read does *)
+  let request = post_of_body (patterned_body ((4 * 8192) - head_len) 5) in
+  Alcotest.(check int) "request spans four reads" (4 * 8192) (String.length request);
+  let p = Http.parser_ () in
+  List.iteri
+    (fun i chunk ->
+      Http.feed p chunk;
+      match (i, Http.next p) with
+      | 3, `Request r ->
+          Alcotest.(check bool) "same request" true (`Request r = parse_one request)
+      | 3, _ -> Alcotest.fail "the last read did not complete the request"
+      | _, `Need_more -> ()
+      | _, _ -> Alcotest.fail "request completed early")
+    (reads_of_8k request);
+  Alcotest.(check int) "nothing left buffered" 0 (Http.buffered p);
+  (* a head that ends exactly on a read boundary: the body has not
+     started, yet the parser is mid-request *)
+  let p = Http.parser_ () in
+  let body = patterned_body 9000 3 in
+  let request = post_of_body body in
+  let head = String.sub request 0 (String.length request - 9000) in
+  Http.feed p head;
+  Alcotest.(check bool) "head alone needs more" true (Http.next p = `Need_more);
+  Alcotest.(check int) "the head counts as buffered" (String.length head) (Http.buffered p);
+  let b = Bytes.of_string ("!!" ^ body ^ "GET /health HTTP/1.1\r\n\r\n") in
+  Http.feed_bytes p b 2 (Bytes.length b - 2);
+  Bytes.fill b 0 (Bytes.length b) '?';
+  (match Http.next p with
+  | `Request r -> Alcotest.(check string) "body fed from a byte range" body r.Http.body
+  | _ -> Alcotest.fail "body did not complete");
+  match Http.next p with
+  | `Request r -> Alcotest.(check (list string)) "pipelined GET" [ "health" ] r.Http.path
+  | _ -> Alcotest.fail "pipelined GET lost"
 
 let prop_suppressed_body =
   QCheck2.Test.make
@@ -2325,4 +2409,8 @@ let suite =
       test_e2e_chained_replication;
     Alcotest.test_case "e2e: SIGKILL primary, never-ahead + promotion" `Quick
       test_e2e_replication_promote_crash;
+    Alcotest.test_case "http: pipelined request after a large body" `Quick
+      test_pipelined_after_large_body;
+    Alcotest.test_case "http: body ending on a read boundary" `Quick
+      test_body_on_chunk_boundary;
   ]

@@ -154,6 +154,188 @@ let prop_roundtrip =
       | Ok doc -> Xmlight.Doc.equal_element e doc.Xmlight.Doc.root
       | Error _ -> false)
 
+(* --- property: the scanning parser agrees with the frozen reference --- *)
+
+(* A parse outcome both parsers can produce: the document, or the
+   error's line, column and message (or the exception that escaped). *)
+let outcome ~parse ~error input =
+  match parse input with
+  | Ok doc -> Ok doc
+  | Error e -> Error (error e)
+  | exception ex -> Error (0, 0, "raised " ^ Printexc.to_string ex)
+
+let current input =
+  outcome ~parse:Xmlight.Parse.parse
+    ~error:(fun e ->
+      Xmlight.Parse.(e.position.line, e.position.column, e.message))
+    input
+
+let reference input =
+  outcome ~parse:Xml_reference.parse
+    ~error:(fun e ->
+      Xml_reference.(e.position.line, e.position.column, e.message))
+    input
+
+let agrees input = current input = reference input
+
+(* Raw document text exercising every construct the parser knows:
+   entity and character references (some malformed), CDATA, comments,
+   processing instructions, a DOCTYPE with an internal subset, and LF
+   or CRLF line ends. *)
+let gen_xml_source =
+  QCheck2.Gen.(
+    let* nl = oneofl [ "\n"; "\r\n" ] in
+    let piece =
+      oneof
+        [
+          map (String.make 1) (oneofl [ 'a'; 'Z'; ' '; '>'; '"'; '\''; '\t'; '\xc3' ]);
+          oneofl
+            [ "&amp;"; "&lt;"; "&gt;"; "&quot;"; "&apos;"; "&#65;"; "&#x3b1;"; "&#X1F600;";
+              "&#0b101;"; "&bogus;"; "&#xZZ;"; "&#-1;"; "&"; "x;" ];
+          return nl;
+        ]
+    in
+    let chars = map (String.concat "") (list_size (int_range 0 6) piece) in
+    let* root =
+      sized_size (int_range 0 3) @@ fix (fun self n ->
+          let* tag = gen_name in
+          let* attrs =
+            list_size (int_range 0 2)
+              (let* k = gen_name in
+               let* q = oneofl [ '"'; '\'' ] in
+               let* v = chars in
+               let v = String.concat "" (String.split_on_char q v) in
+               return (Printf.sprintf " %s=%c%s%c" k q v q))
+          in
+          let leaf =
+            oneof
+              [
+                map (fun t -> if String.contains t '<' then "t" else t) chars;
+                map (Printf.sprintf "<![CDATA[%s]]>") chars;
+                map (Printf.sprintf "<!--%s-->") (oneofl [ ""; " c "; "a-b"; nl ]);
+                map (Printf.sprintf "<?pi %s?>") (oneofl [ ""; "x=1"; nl ]);
+              ]
+          in
+          let* children =
+            if n = 0 then list_size (int_range 0 2) leaf
+            else list_size (int_range 0 4) (oneof [ leaf; self (n - 1) ])
+          in
+          let* sp = oneofl [ ""; " "; nl ] in
+          let attrs = String.concat "" attrs in
+          if children = [] then return (Printf.sprintf "<%s%s%s/>" tag attrs sp)
+          else
+            return
+              (Printf.sprintf "<%s%s>%s</%s%s>" tag attrs (String.concat "" children) tag sp))
+    in
+    let* decl = oneofl [ ""; "<?xml version=\"1.0\" encoding='UTF-8'?>" ] in
+    let* misc =
+      list_size (int_range 0 2)
+        (oneofl
+           [ "<!-- prolog -->"; "<?style x?>";
+             "<!DOCTYPE r [" ^ nl ^ "  <!ELEMENT r ANY>" ^ nl ^ "  <!ENTITY e \"[x]\">" ^ nl ^ "]>" ])
+    in
+    let* trailer = oneofl [ ""; nl; "<!-- end -->" ^ nl ] in
+    return (decl ^ nl ^ String.concat nl misc ^ nl ^ root ^ trailer))
+
+(* the bytes a corruption may write *)
+let corrupt_bytes = "<>&;\"'/!?[]-=\n\r a\000"
+
+let corrupt input i c =
+  String.mapi (fun j x -> if j = i then c else x) input
+
+let prop_reference_agrees =
+  QCheck2.Test.make
+    ~name:"parser agrees with the frozen reference on documents, truncations and corruptions"
+    ~count:300
+    QCheck2.Gen.(
+      let* src = gen_xml_source in
+      let n = String.length src in
+      let* cuts = list_size (int_range 1 8) (int_range 0 n) in
+      let* flips =
+        list_size (int_range 1 8)
+          (pair (int_range 0 (max 0 (n - 1))) (oneofl (List.of_seq (String.to_seq corrupt_bytes))))
+      in
+      return (src, cuts, flips))
+    ~print:(fun (src, _, _) -> src)
+    (fun (src, cuts, flips) ->
+      agrees src
+      && List.for_all (fun k -> agrees (String.sub src 0 k)) cuts
+      && List.for_all (fun (i, c) -> src = "" || agrees (corrupt src i c)) flips)
+
+(* a linear chain of [n] components, one event type each, and one
+   scenario per eight components — the shape of the chain benchmarks *)
+let chain_project n =
+  let name i = Printf.sprintf "c%d" i in
+  let ontology =
+    List.fold_left
+      (fun o i ->
+        let e = Printf.sprintf "e%d" i in
+        Ontology.Build.add_event_type ~id:e ~name:e ~template:("step " ^ e) o)
+      (Ontology.Build.create ~id:"syn" ~name:"Synthetic")
+      (List.init n Fun.id)
+  in
+  let architecture =
+    List.fold_left
+      (fun t i -> Adl.Build.biconnect t (name i) (name (i + 1)))
+      (List.fold_left
+         (fun t i -> Adl.Build.add_component ~id:(name i) ~name:(name i) ~responsibilities:[ "r" ] t)
+         (Adl.Build.create ~id:"syn-arch" ~name:"Synthetic chain" ())
+         (List.init n Fun.id))
+      (List.init (n - 1) Fun.id)
+  in
+  let mapping =
+    List.fold_left
+      (fun m i -> Mapping.Build.map ~event_type:(Printf.sprintf "e%d" i) ~to_:[ name i ] m)
+      (Mapping.Build.create ~id:"syn-map" ~ontology ~architecture)
+      (List.init n Fun.id)
+  in
+  let scenario k =
+    Scenarioml.Scen.scenario ~id:(Printf.sprintf "seg%d" k) ~name:(Printf.sprintf "Walk %d" k)
+      (List.init 8 (fun i ->
+           Scenarioml.Event.typed ~id:(Printf.sprintf "s%d-%d" k i)
+             ~event_type:(Printf.sprintf "e%d" ((8 * k) + i))
+             []))
+  in
+  ( Scenarioml.Scen.make_set ~id:"syn-set" ~name:"Synthetic" ontology (List.init (n / 8) scenario),
+    architecture,
+    mapping )
+
+let test_reference_on_projects () =
+  let serialized (set, architecture, mapping) =
+    [
+      Scenarioml.Xml_io.set_to_string set;
+      Adl.Xml_io.to_string architecture;
+      Mapping.Xml_io.to_string mapping;
+    ]
+  in
+  let documents =
+    List.concat_map serialized
+      [
+        ( Casestudies.Pims.scenario_set,
+          Casestudies.Pims.architecture,
+          Casestudies.Pims.mapping );
+        ( Casestudies.Crash.entity_scenario_set,
+          Casestudies.Crash.entity_architecture,
+          Casestudies.Crash.entity_mapping );
+        chain_project 64;
+      ]
+  in
+  let rng = Random.State.make [| 15 |] in
+  List.iter
+    (fun doc ->
+      let n = String.length doc in
+      Alcotest.(check bool) "document parses alike" true (agrees doc);
+      Alcotest.(check bool) "document parses" true (Result.is_ok (current doc));
+      for _ = 1 to 40 do
+        let k = Random.State.int rng n in
+        let c = corrupt_bytes.[Random.State.int rng (String.length corrupt_bytes)] in
+        if not (agrees (String.sub doc 0 k)) then
+          Alcotest.failf "truncation at %d of %d bytes disagrees" k n;
+        if not (agrees (corrupt doc k c)) then
+          Alcotest.failf "byte %d set to %C disagrees" k c
+      done)
+    documents
+
 let suite =
   [
     Alcotest.test_case "minimal document" `Quick test_minimal;
@@ -172,4 +354,7 @@ let suite =
     Alcotest.test_case "query paths and filters" `Quick test_query_path;
     Alcotest.test_case "descendants" `Quick test_descendants;
     QCheck_alcotest.to_alcotest prop_roundtrip;
+    QCheck_alcotest.to_alcotest prop_reference_agrees;
+    Alcotest.test_case "reference parser agrees on the case-study projects" `Quick
+      test_reference_on_projects;
   ]
